@@ -37,15 +37,11 @@ def _cmd_verify(args) -> int:
     worst = EXIT_PASS
     for path in args.files:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as err:
+            scenario = parse_scenario(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ScenarioError) as err:
             print(f"{path}: {err}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        try:
-            scenario = parse_scenario(text)
-        except ScenarioError as err:
-            print(f"{path}: {err}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            worst = EXIT_BAD_INPUT
+            continue
         report = verify(scenario, strict=args.strict)
         if args.format == "text":
             width = int(os.environ.get("BLOWDOWN_WIDTH", "72"))
@@ -157,8 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -15,6 +15,7 @@ ordinary double points).  Operations never mutate: they return new values.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -33,6 +34,19 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
     if a == b:
         raise ValueError(f"a curve does not pair with itself ({a!r}); nodes live in node_count")
     return (a, b) if a < b else (b, a)
+
+
+def set_pairing(curves: dict, pairings: dict, a: str, b: str, value: int):
+    """Set a.b = value in a pairing table under construction; 0 removes it."""
+    if a not in curves or b not in curves:
+        raise KeyError(f"unknown curve in pairing {a}.{b}")
+    if value < 0:
+        raise ValueError(f"pairing {a}.{b} must be >= 0")
+    key = pair_key(a, b)
+    if value == 0:
+        pairings.pop(key, None)
+    else:
+        pairings[key] = value
 
 
 @dataclass(frozen=True)
@@ -158,28 +172,9 @@ class Configuration:
             raise ValueError("self-pairing is undefined; nodes live in node_count")
         return self.pairings.get(pair_key(a, b), 0)
 
-    def neighbours(self, cid: str) -> dict[str, int]:
-        out = {}
-        for (a, b), v in self.pairings.items():
-            if v == 0:
-                continue
-            if a == cid:
-                out[b] = v
-            elif b == cid:
-                out[a] = v
-        return out
-
     def with_pairing(self, a: str, b: str, value: int) -> "Configuration":
-        if a not in self.curves or b not in self.curves:
-            raise KeyError(f"unknown curve in pairing {a}.{b}")
-        if value < 0:
-            raise ValueError(f"pairing {a}.{b} must be >= 0")
         pairings = dict(self.pairings)
-        key = pair_key(a, b)
-        if value == 0:
-            pairings.pop(key, None)
-        else:
-            pairings[key] = value
+        set_pairing(self.curves, pairings, a, b, value)
         return replace(self, pairings=pairings)
 
     def with_curve(self, curve: Curve) -> "Configuration":
@@ -359,13 +354,91 @@ class ChainSearch:
         return self.found
 
 
-def _chain_candidates(config: Configuration, b: int) -> list[str]:
-    out = []
-    for cid in sorted(config.curves):
-        cu = config.curves[cid]
-        if cu.self_int == -b and cu.genus == 0 and cu.node_count == 0:
-            out.append(cid)
-    return out
+class _ChainIndex:
+    """The chain search's view of a configuration, built once per call.
+
+    square: self-intersection of each smooth rational curve (the candidates);
+    by_square: candidates per self-intersection, sorted; near: neighbours at
+    any nonzero pairing; ones: candidate neighbours at pairing 1, sorted.
+    count[c]: embedded curves that are c or meet c; c is free at count 0 for
+    a chain's first position, and at count 1 (the previous curve) later.
+    """
+
+    __slots__ = ("square", "by_square", "near", "ones", "count")
+
+    def __init__(self, config: Configuration):
+        self.square = {cid: c.self_int for cid, c in config.curves.items()
+                       if c.genus == 0 and c.node_count == 0}
+        self.by_square: dict[int, list[str]] = {}
+        for cid in sorted(self.square):
+            self.by_square.setdefault(self.square[cid], []).append(cid)
+        self.near: dict[str, list[str]] = defaultdict(list)
+        self.ones: dict[str, list[str]] = {cid: [] for cid in self.square}
+        for (a, b), v in config.pairings.items():
+            if v:
+                self.near[a].append(b)
+                self.near[b].append(a)
+                if v == 1 and a in self.square and b in self.square:
+                    self.ones[a].append(b)
+                    self.ones[b].append(a)
+        for ids in self.ones.values():
+            ids.sort()
+        self.count: dict[str, int] = defaultdict(int)
+
+
+def _mark(index: _ChainIndex, cid: str, step: int):
+    count = index.count
+    count[cid] += step
+    for other in index.near[cid]:
+        count[other] += step
+
+
+def _embeddings(index: _ChainIndex, entries: tuple[int, ...]):
+    """Every embedding of one chain, depth first in sorted-id order.
+
+    An embedding stays marked in index.count while it is yielded, so a
+    search for the next chain sees its curves and their neighbours as taken.
+    """
+    square, ones, count = index.square, index.ones, index.count
+    last = len(entries) - 1
+    partial: list[str] = []
+    levels = [iter(index.by_square.get(-entries[0], ()))]
+    while levels:
+        pos = len(partial)
+        free = 1 if pos else 0
+        for cid in levels[-1]:
+            if count[cid] != free or square[cid] != -entries[pos]:
+                continue
+            _mark(index, cid, 1)
+            if pos == last:
+                yield tuple(partial) + (cid,)
+                _mark(index, cid, -1)
+                continue
+            partial.append(cid)
+            levels.append(iter(ones[cid]))
+            break
+        else:
+            levels.pop()
+            if partial:
+                _mark(index, partial.pop(), -1)
+
+
+def _solve(index: _ChainIndex, chains: list[tuple[int, ...]], i: int,
+           found: list[tuple[str, ...]]) -> Optional[int]:
+    """Embed chains[i:] next to found: None on success, else the first chain
+    that the depth-first search (first embeddings first) cannot embed."""
+    if i == len(chains):
+        return None
+    first_failed = i
+    for k, emb in enumerate(_embeddings(index, chains[i])):
+        found.append(emb)
+        failed = _solve(index, chains, i + 1, found)
+        if failed is None:
+            return None
+        found.pop()
+        if k == 0:
+            first_failed = failed
+    return first_failed
 
 
 def find_chains(config: Configuration,
@@ -375,96 +448,17 @@ def find_chains(config: Configuration,
     An embedding of [b_1..b_l] is an ordered list of distinct curves with
     self-intersections -b_i, genus 0, no nodes, consecutive pairings exactly
     1, all other pairings within the chain 0, and no curve or positive
-    pairing shared with any other embedded chain.  Deterministic: candidates
-    are tried in sorted id order.
+    pairing shared with any other embedded chain.  Deterministic: one
+    backtracking search over all chains, trying candidates in sorted id
+    order; the result is the first joint embedding it reaches.
     """
     if not targets:
         raise ValueError("targets must be nonempty")
-    chains = [as_chain(t) for t in targets]
-    used: set[str] = set()
-    embeddings: list[tuple[str, ...]] = []
-
-    def blocked(cid: str) -> bool:
-        # disjointness across chains: no shared curves, no pairings between chains
-        if cid in used:
-            return True
-        for prev in embeddings:
-            for other in prev:
-                if config.pairing(cid, other) != 0:
-                    return True
-        return False
-
-    def extend(target: Chain, partial: list[str]) -> bool:
-        pos = len(partial)
-        if pos == len(target):
-            return True
-        for cid in _chain_candidates(config, target[pos]):
-            if blocked(cid) or cid in partial:
-                continue
-            if pos > 0 and config.pairing(partial[-1], cid) != 1:
-                continue
-            if any(config.pairing(earlier, cid) != 0 for earlier in partial[:-1]):
-                continue
-            partial.append(cid)
-            if extend(target, partial):
-                return True
-            partial.pop()
-        return False
-
-    def solve(i: int) -> Optional[int]:
-        if i == len(chains):
-            return None
-        partial: list[str] = []
-        if not extend(chains[i], partial):
-            return i
-        embeddings.append(tuple(partial))
-        used.update(partial)
-        failed = solve(i + 1)
-        if failed is None:
-            return None
-        # backtrack across chains: try other embeddings of chain i
-        used.difference_update(partial)
-        embeddings.pop()
-        return _solve_backtracking(i, failed)
-
-    def _solve_backtracking(i: int, first_failed: int) -> Optional[int]:
-        # exhaustive joint backtracking; keeps the first failure index stable
-        all_embs = _enumerate_embeddings(chains[i])
-        for emb in all_embs:
-            embeddings.append(emb)
-            used.update(emb)
-            failed = solve(i + 1)
-            if failed is None:
-                return None
-            used.difference_update(emb)
-            embeddings.pop()
-        return first_failed
-
-    def _enumerate_embeddings(target: Chain) -> list[tuple[str, ...]]:
-        results: list[tuple[str, ...]] = []
-
-        def rec(partial: list[str]):
-            pos = len(partial)
-            if pos == len(target):
-                results.append(tuple(partial))
-                return
-            for cid in _chain_candidates(config, target[pos]):
-                if blocked(cid) or cid in partial:
-                    continue
-                if pos > 0 and config.pairing(partial[-1], cid) != 1:
-                    continue
-                if any(config.pairing(earlier, cid) != 0 for earlier in partial[:-1]):
-                    continue
-                partial.append(cid)
-                rec(partial)
-                partial.pop()
-
-        rec([])
-        return results
-
-    failed = solve(0)
+    chains = [as_chain(t).entries for t in targets]
+    found: list[tuple[str, ...]] = []
+    failed = _solve(_ChainIndex(config), chains, 0, found)
     if failed is None:
-        return ChainSearch(True, tuple(embeddings))
+        return ChainSearch(True, tuple(found))
     return ChainSearch(False, (), failed)
 
 

@@ -16,10 +16,9 @@ preimages of its centre.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .configuration import (Configuration, Curve, InvariantSet, PointSpec,
-                            pair_key)
+from .configuration import Configuration, Curve, InvariantSet, pair_key
 
 
 class CoverError(ValueError):
@@ -105,39 +104,32 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         if v:
             pairings[pair_key(a, b)] = v
 
-    # pullback sum rule for every base pair, and disjoint preimages of splits
-    ids = sorted(base.curves)
-    for i, a in enumerate(ids):
-        pre_a = decl.preimages(a)
-        if len(pre_a) == 2:
-            x, y = pre_a
-            if pairings.get(pair_key(x, y), 0) != 0:
-                raise CoverError(
-                    f"the two preimages of split curve {a!r} must be disjoint "
-                    "(their self-intersections already account for the pullback)")
-        for b in ids[i + 1:]:
-            want = 2 * base.pairing(a, b)
-            got = 0
-            for x in pre_a:
-                for y in decl.preimages(b):
-                    got += pairings.get(pair_key(x, y), 0)
-            if got != want:
-                raise CoverError(
-                    f"pullback pairing sum violated for {a}.{b}: cover total "
-                    f"{got}, expected {want}")
+    # pullback sum rule for every base pair, and disjoint preimages of splits:
+    # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
+    # the pairing between the two preimages of a.  Only pairs with a base or
+    # a cover pairing can fail; the first failure in sorted order is raised.
+    base_of = {x: k for k, pre in decl.splits for x in pre}
+    base_of.update((x, k) for k, x in decl.connected)
+    excess = {key: -2 * v for key, v in base.pairings.items()
+              if key[0] in base.curves and key[1] in base.curves}
+    for (x, y), v in pairings.items():
+        a, b = base_of[x], base_of[y]
+        key = pair_key(a, b) if a != b else (a, "")
+        excess[key] = excess.get(key, 0) + v
+    bad = [key for key, d in excess.items() if d]
+    if bad:
+        a, b = min(bad)
+        if not b:
+            raise CoverError(
+                f"the two preimages of split curve {a!r} must be disjoint "
+                "(their self-intersections already account for the pullback)")
+        want = 2 * base.pairing(a, b)
+        raise CoverError(
+            f"pullback pairing sum violated for {a}.{b}: cover total "
+            f"{want + excess[(a, b)]}, expected {want}")
 
     ambient = InvariantSet.derive(2 * base.ambient.e, 2 * base.ambient.sigma)
     return Configuration(curves, pairings, ambient, base.pi1_order // 2)
-
-
-def lift_program(decl_steps: Sequence[tuple[PointSpec, PointSpec]]) -> list[PointSpec]:
-    """Flatten a declared lift plan (two cover steps per base step)."""
-    out: list[PointSpec] = []
-    for pair in decl_steps:
-        if len(pair) != 2:
-            raise CoverError("each base blow-up lifts to exactly two cover blow-ups")
-        out.extend(pair)
-    return out
 
 
 def check_doubling(base: Configuration, cover: Configuration) -> list[str]:

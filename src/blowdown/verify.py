@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .configuration import (BlowupError, Configuration, Curve, InvariantSet,
-                            adjunction_audit, find_chains, preset, run_program)
-from .cover import (CoverError, check_doubling, lift_configuration,
-                    lift_program)
+                            adjunction_audit, find_chains, preset, run_program,
+                            set_pairing)
+from .cover import CoverError, check_doubling, lift_configuration
 from .fundgroup import (CyclicGroup, minus_one_sphere_witness,
                         pi1_after_blowdown)
 from .hjcf import wahl_recognize
@@ -34,12 +34,13 @@ def _build_surface(s: Scenario) -> Configuration:
         ambient = InvariantSet.from_base(e=fields["e"], sigma=fields["sigma"],
                                          pg=fields["pg"], q=fields["q"])
         config = Configuration({}, {}, ambient, fields.get("pi1_order"))
+    curves, pairings = dict(config.curves), dict(config.pairings)
     for c in s.curves:
-        config = config.with_curve(Curve(c.id, c.self_int, c.genus, c.k_degree,
-                                         c.node_count, frozenset(c.labels)))
+        curves[c.id] = Curve(c.id, c.self_int, c.genus, c.k_degree, c.node_count,
+                             frozenset(c.labels))
     for a, b, v in s.pairings:
-        config = config.with_pairing(a, b, v)
-    return config
+        set_pairing(curves, pairings, a, b, v)
+    return Configuration(curves, pairings, config.ambient, config.pi1_order)
 
 
 def verify(s: Scenario, strict: bool = False) -> Report:
@@ -169,7 +170,7 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
                    error="cover: lift plan must cover each base step exactly once",
                    doubling_violations=doubling)
         return
-    steps = lift_program([plan[bid] for bid in base_order])
+    steps = [step for bid in base_order for step in plan[bid]]
     try:
         cover_final = run_program(lifted, steps)
     except BlowupError as err:

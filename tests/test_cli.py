@@ -43,10 +43,20 @@ class TestVerifyCommand:
     def test_missing_file_exit_two(self):
         assert main(["verify", "/does/not/exist.scn"]) == 2
 
-    def test_multiple_files(self, capsys):
+    def test_multiple_files(self, tmp_path, capsys):
         rc = main(["verify", str(bundled.path("k2_4_pi2")),
                    str(bundled.path("k2_5_sympl")), "--format", "json"])
         assert rc == 0
+        capsys.readouterr()
+        # a missing or unparsable file is reported; the rest are still verified
+        broken = tmp_path / "broken.scn"
+        broken.write_text("this is not a scenario\n")
+        rc = main(["verify", "/does/not/exist.scn", str(broken),
+                   str(bundled.path("k2_4_pi2")), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(out)["scenario"] == "k2_4_pi2"
+        assert "/does/not/exist.scn:" in err and f"{broken}:" in err
 
     def test_strict_flags_missing_expectations(self, tmp_path):
         p = tmp_path / "bare.scn"

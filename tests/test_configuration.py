@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from blowdown.configuration import (AdjunctionError, BlowupError, Curve,
-                                    InvariantSet, PointSpec, adjunction_audit,
-                                    blow_up, find_chains, preset,
-                                    random_program, run_program)
+from blowdown.configuration import (AdjunctionError, BlowupError, Configuration,
+                                    Curve, InvariantSet, PointSpec,
+                                    adjunction_audit, blow_up, find_chains,
+                                    preset, random_program, run_program)
 
 
 class TestInvariantSet:
@@ -176,6 +177,109 @@ class TestFindChains:
         # fresh preset F (nodal) must not satisfy a [0]-style target anyway.
         res = find_chains(cfg, [[4]])
         assert res.found and res.embeddings[0] == ("F",)
+
+
+def brute_embeddings(cfg, entries, taken):
+    """Every embedding of one chain avoiding the curves in taken, in id order."""
+    out = []
+    for emb in itertools.permutations(sorted(cfg.curves), len(entries)):
+        curves = [cfg.curves[c] for c in emb]
+        if any(c.self_int != -b or c.genus or c.node_count
+               for c, b in zip(curves, entries)):
+            continue
+        if any(c in taken or any(cfg.pairing(c, t) for t in taken) for c in emb):
+            continue
+        if all(cfg.pairing(x, y) == (1 if j == i + 1 else 0)
+               for (i, x), (j, y) in itertools.combinations(enumerate(emb), 2)):
+            out.append(emb)
+    return out
+
+
+def brute_find_chains(cfg, targets):
+    """(embeddings, failed_target) by exhaustive search.
+
+    The embeddings are the first joint solution in id order; the failed
+    target is the first chain without an embedding when every earlier
+    chain takes its first embedding.
+    """
+    def first_joint(i, taken):
+        if i == len(targets):
+            return ()
+        for emb in brute_embeddings(cfg, targets[i], taken):
+            rest = first_joint(i + 1, taken | set(emb))
+            if rest is not None:
+                return (emb,) + rest
+        return None
+
+    joint = first_joint(0, set())
+    if joint is not None:
+        return joint, None
+    taken = set()
+    for i, entries in enumerate(targets):
+        embs = brute_embeddings(cfg, entries, taken)
+        if not embs:
+            return (), i
+        taken |= set(embs[0])
+    raise AssertionError("greedy search succeeded where the joint one failed")
+
+
+def random_configuration(rng):
+    ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
+    curves = {}
+    for _ in range(rng.randint(3, 8)):
+        cid = f"c{rng.randint(0, 30):02d}"
+        curves[cid] = Curve(cid, self_int=rng.choice([-2, -2, -2, -3, -4, -1]),
+                            genus=int(rng.random() < 0.1),
+                            node_count=int(rng.random() < 0.1))
+    ids = sorted(curves)
+    density = rng.uniform(0.2, 0.6)
+    pairings = {(a, b): rng.choice([1, 1, 1, 2])
+                for a, b in itertools.combinations(ids, 2) if rng.random() < density}
+    return Configuration(curves, pairings, ambient, 2)
+
+
+class TestFindChainsExhaustive:
+    def test_matches_brute_force(self):
+        rng = random.Random(99)
+        backtracked_ok = backtracked_fail = 0
+        for _ in range(400):
+            cfg = random_configuration(rng)
+            targets = [[rng.choice([2, 2, 3, 4]) for _ in range(rng.randint(1, 3))]
+                       for _ in range(rng.randint(1, 3))]
+            embeddings, failed = brute_find_chains(cfg, targets)
+            res = find_chains(cfg, targets)
+            assert (res.embeddings, res.failed_target) == (embeddings, failed)
+            assert res.found == (failed is None)
+            if res.found and embeddings[0] != brute_embeddings(cfg, targets[0], set())[0]:
+                backtracked_ok += 1
+            if failed is not None and failed > 0:
+                backtracked_fail += 1
+        assert backtracked_ok > 0 and backtracked_fail > 0
+
+    def _decoy(self):
+        # D1-D2 is a [2,2] chain meeting L2, the middle of L1-L2-L3; R1-R2
+        # is the real copy.  Ids sort D < L < R, so D1-D2 is tried first.
+        ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
+        ids = ["D1", "D2", "L1", "L2", "L3", "R1", "R2"]
+        curves = {cid: Curve(cid, self_int=-2) for cid in ids}
+        pairings = {("D1", "D2"): 1, ("D2", "L2"): 1, ("L1", "L2"): 1,
+                    ("L2", "L3"): 1, ("R1", "R2"): 1}
+        return Configuration(curves, pairings, ambient, 2)
+
+    def test_backtracks_across_chains(self):
+        # every [2,2] in the D/L tree leaves no [2,2,2] beside it, so the
+        # search moves the first chain to R1-R2 and takes D1-D2-L2
+        res = find_chains(self._decoy(), [[2, 2], [2, 2, 2]])
+        assert res.found
+        assert res.embeddings == (("R1", "R2"), ("D1", "D2", "L2"))
+
+    def test_failure_after_backtracking_names_first_dead_end(self):
+        # no third disjoint chain exists: the search tries every embedding
+        # of the first two chains, then reports target 1, where the first
+        # embedding of target 0 (D1-D2) left no room
+        res = find_chains(self._decoy(), [[2, 2], [2, 2, 2], [2, 2]])
+        assert not res.found
+        assert res.failed_target == 1
 
 
 class TestAudit:

@@ -88,6 +88,33 @@ class TestLift:
         with pytest.raises(CoverError, match="disjoint"):
             lift_configuration(base, full_split_decl(base, pairs))
 
+    def test_first_error_in_sorted_order(self):
+        # A, B, C are split (-2)-curves with A.C = 1 and B.C = 1 downstairs
+        ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
+        curves = {cid: Curve(cid, self_int=-2) for cid in "ABC"}
+        base = Configuration(curves, {("A", "C"): 1, ("B", "C"): 1}, ambient, 2)
+        good = {("Aa", "Ca"): 1, ("Ab", "Cb"): 1, ("Ba", "Ca"): 1, ("Bb", "Cb"): 1}
+
+        def first_error(changes):
+            pairs = {**good, **changes}
+            with pytest.raises(CoverError) as err:
+                lift_configuration(base, full_split_decl(base, pairs))
+            return str(err.value)
+
+        lift_configuration(base, full_split_decl(base, good))
+        # A's own preimages meet: reported before any pair (A, *)
+        msg = first_error({("Aa", "Ab"): 1, ("Ab", "Cb"): 2})
+        assert "split curve 'A'" in msg
+        # the pair (A, B) comes before B's own preimages
+        msg = first_error({("Ba", "Bb"): 1, ("Aa", "Ba"): 1})
+        assert msg == ("pullback pairing sum violated for A.B: cover total 1, "
+                       "expected 0")
+        # (A, C) before (B, C), both before C's own preimages
+        msg = first_error({("Ca", "Cb"): 1, ("Bb", "Cb"): 0,
+                             ("Ab", "Cb"): 0})
+        assert msg == ("pullback pairing sum violated for A.C: cover total 1, "
+                       "expected 2")
+
     def test_connected_rational_rejected(self):
         ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
         base = Configuration({"C": Curve("C", self_int=-2)}, {}, ambient, 2)

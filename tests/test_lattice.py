@@ -101,6 +101,40 @@ class TestDefiniteness:
     def test_positive_entry(self):
         assert not is_negative_definite(dense(["a", "b"], [[-2, 3], [3, -2]]))
 
+    def test_matches_leading_minors(self):
+        # Sylvester's criterion, each leading minor from its own det_exact
+        rng = random.Random(5)
+        seen = {True: 0, False: 0, "zero minor": 0}
+        for trial in range(1500):
+            tridiagonal = trial % 2 == 0
+            n = rng.randint(1, 7)
+            spread = rng.choice([1, 2, 4])
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(-2 * spread - 2, 1)
+                for j in range(i + 1, min(i + 2, n) if tridiagonal else n):
+                    rows[i][j] = rows[j][i] = rng.randint(-spread, spread)
+            minors = [det_exact(dense("abcdefg"[:k], [r[:k] for r in rows[:k]]))
+                      for k in range(1, n + 1)]
+            expected = all(d != 0 and (d < 0) == (k % 2 == 1)
+                           for k, d in enumerate(minors, 1))
+            seen["zero minor"] += 0 in minors
+            seen[expected] += 1
+            assert is_negative_definite(dense("abcdefg"[:n], rows)) == expected, rows
+        assert min(seen.values()) > 50
+
+    def test_zero_minor_inside(self):
+        # minors -1, 0, ...: the 2x2 minor vanishes, so not definite
+        g = dense(["a", "b", "c"], [[-1, 1, 0], [1, -1, 1], [0, 1, -5]])
+        assert not is_negative_definite(g)
+        g = dense(["a", "b", "c"], [[-1, 1, 1], [1, -1, 0], [1, 0, -5]])
+        assert not is_negative_definite(g)
+
+    def test_long_chain(self):
+        chain = wahl_chain(400, 1)
+        assert len(chain) == 399
+        assert is_negative_definite(chain_gram(chain))
+
 
 class TestBoundaryOrder:
     def test_c19(self):
