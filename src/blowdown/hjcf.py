@@ -115,21 +115,38 @@ _gcd = math.gcd
 def hj_expand(n: int, m: int) -> Chain:
     """Expand n/m > 1 (coprime) into its Hirzebruch-Jung chain.
 
-    Each step takes b = ceil(n/m) and recurses on m / (b*m - n).
+    Each HJ step takes b = ceil(n/m) and recurses on m / (b*m - n); long
+    runs of 2s make that linear in n.  Instead this walks the regular
+    continued fraction n/m = [a_1; a_2, ..., a_k] (Euclid, O(log n) steps)
+    and writes the chain blockwise:
+
+        [a_1 + 1, 2 * (a_2 - 1), a_3 + 2, 2 * (a_4 - 1), ...]
+
+    where "2 * j" is a run of j 2s and the final odd-position term is
+    a_k + 1 rather than a_k + 2 (and a_1 alone when k = 1).
     """
     if m <= 0 or n <= m or _gcd(n, m) != 1:
         _check_fraction(n, m)
-    out = []
-    append = out.append
-    while True:
-        # b = ceil(n/m); remainder step: n/m = b - (b*m - n)/m
-        q, r = divmod(n, m)
-        if r:
-            append(q + 1)
-            n, m = m, m - r
-        else:
-            append(q)
-            break
+    q, r = divmod(n, m)
+    if not r:
+        out = [q]
+    else:
+        out = [q + 1]
+        n, m = m, r
+        while True:
+            # even position a_2, a_4, ...: a run of a - 1 twos
+            q, r = divmod(n, m)
+            out += [2] * (q - 1)
+            if not r:
+                break
+            n, m = m, r
+            # odd position a_3, a_5, ...
+            q, r = divmod(n, m)
+            if not r:
+                out.append(q + 1)
+                break
+            out.append(q + 2)
+            n, m = m, r
     chain = _CHAIN_NEW(Chain)
     _SETATTR(chain, "entries", tuple(out))
     return chain

@@ -50,6 +50,22 @@ class TestExpand:
     def test_two_twos(self):
         assert entries(hj_expand(3, 2)) == [2, 2]
 
+    def test_matches_ceiling_steps(self):
+        # the blockwise expansion against b = ceil(n/m), n/m -> m/(b*m - n)
+        def stepwise(n, m):
+            out = []
+            while m:
+                b = -(-n // m)
+                out.append(b)
+                n, m = m, b * m - n
+            return out
+
+        for n in range(2, 300):
+            for m in range(1, n):
+                if math.gcd(n, m) == 1:
+                    assert entries(hj_expand(n, m)) == stepwise(n, m), (n, m)
+        assert entries(hj_expand(10**6 + 1, 10**6)) == [2] * 10**6
+
     @pytest.mark.parametrize("n, m", [(4, 4), (3, 0), (2, 3), (6, 4), (10, 5)])
     def test_rejects_malformed(self, n, m):
         with pytest.raises(ValueError):
