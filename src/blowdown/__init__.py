@@ -21,8 +21,8 @@ from .lattice import (GramMatrix, boundary_group_order, chain_gram, det_exact,
                       gram, is_negative_definite)
 from .report import Report, emit
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .surgery import (Assumption, SurgeryError, SurgeryResult,
-                      rational_blowdown, smoothing_ledger)
+from .surgery import (Assumption, ChainFacts, SurgeryError, SurgeryResult,
+                      chain_facts, rational_blowdown, smoothing_ledger)
 from .verify import verify
 
 __version__ = "0.1.0"

@@ -34,6 +34,15 @@ EXIT_BAD_INPUT = 2
 
 
 def _cmd_verify(args) -> int:
+    width = 72
+    if args.format == "text":
+        raw = os.environ.get("BLOWDOWN_WIDTH", "72")
+        try:
+            width = int(raw)
+        except ValueError:
+            print(f"error: BLOWDOWN_WIDTH must be an integer, got {raw!r}",
+                  file=sys.stderr)
+            return EXIT_BAD_INPUT
     worst = EXIT_PASS
     for path in args.files:
         try:
@@ -44,7 +53,6 @@ def _cmd_verify(args) -> int:
             continue
         report = verify(scenario, strict=args.strict)
         if args.format == "text":
-            width = int(os.environ.get("BLOWDOWN_WIDTH", "72"))
             sys.stdout.write(report.to_text(width=width))
         else:
             sys.stdout.write(emit(report, args.format))

@@ -56,7 +56,6 @@ class Curve:
     genus: int = 0
     k_degree: int = 0
     node_count: int = 0
-    labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.genus < 0 or self.node_count < 0:
@@ -144,6 +143,9 @@ class PointSpec:
             seen.add(cid)
         if self.node_of is not None and self.node_of in seen:
             raise ValueError(f"{self.node_of!r} is both node_of and an incidence")
+        for (a, b), v in self.pairwise_local:
+            if v < 0:
+                raise ValueError(f"consumed intersection {a}.{b} must be >= 0, got {v}")
 
     def multiplicity(self, cid: str) -> int:
         if cid == self.node_of:
@@ -211,10 +213,10 @@ def preset(name: str) -> Configuration:
     if name == "enriques_kondo":
         curves = {}
         for cid in ENRIQUES_I9_IDS:
-            curves[cid] = Curve(cid, self_int=-2, labels=frozenset({"fiber-component"}))
-        curves["F"] = Curve("F", self_int=0, node_count=1, labels=frozenset({"nodal-fiber"}))
-        curves["S1"] = Curve("S1", self_int=-2, labels=frozenset({"bisection"}))
-        curves["S2"] = Curve("S2", self_int=-2, labels=frozenset({"bisection"}))
+            curves[cid] = Curve(cid, self_int=-2)
+        curves["F"] = Curve("F", self_int=0, node_count=1)
+        curves["S1"] = Curve("S1", self_int=-2)
+        curves["S2"] = Curve("S2", self_int=-2)
         pairings: dict = {}
         _cycle(pairings, ENRIQUES_I9_IDS)
         ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
@@ -222,11 +224,11 @@ def preset(name: str) -> Configuration:
     if name == "k3_kondo_cover":
         curves = {}
         for cid in K3_I9A_IDS + K3_I9B_IDS:
-            curves[cid] = Curve(cid, self_int=-2, labels=frozenset({"fiber-component"}))
-        curves["F1"] = Curve("F1", self_int=0, node_count=1, labels=frozenset({"nodal-fiber"}))
-        curves["F2"] = Curve("F2", self_int=0, node_count=1, labels=frozenset({"nodal-fiber"}))
+            curves[cid] = Curve(cid, self_int=-2)
+        curves["F1"] = Curve("F1", self_int=0, node_count=1)
+        curves["F2"] = Curve("F2", self_int=0, node_count=1)
         for cid in ("T1", "T2", "T3", "T4"):
-            curves[cid] = Curve(cid, self_int=-2, labels=frozenset({"section"}))
+            curves[cid] = Curve(cid, self_int=-2)
         pairings = {}
         _cycle(pairings, K3_I9A_IDS)
         _cycle(pairings, K3_I9B_IDS)
@@ -270,9 +272,7 @@ def blow_up(config: Configuration, point: PointSpec) -> Configuration:
             )
 
     # exceptional curve
-    exceptional = Curve(point.new_id, self_int=-1, k_degree=-1,
-                        labels=frozenset({"exceptional"}))
-    curves[point.new_id] = exceptional
+    curves[point.new_id] = Curve(point.new_id, self_int=-1, k_degree=-1)
 
     # pairings with the new exceptional curve
     for cid in point.touched():
@@ -349,9 +349,6 @@ class ChainSearch:
     found: bool
     embeddings: tuple[tuple[str, ...], ...] = ()
     failed_target: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.found
 
 
 class _ChainIndex:

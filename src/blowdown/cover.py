@@ -53,6 +53,12 @@ class SplittingDecl:
                 return (v,)
         raise CoverError(f"no lift declared for base curve {base_id!r}")
 
+    def base_of(self) -> dict[str, str]:
+        """The base curve under each declared cover curve."""
+        base_of = {x: k for k, pre in self.splits for x in pre}
+        base_of.update((x, k) for k, x in self.connected)
+        return base_of
+
 
 def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuration:
     """Lift a configuration along the declared unramified double cover."""
@@ -79,8 +85,7 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
             if new_id in curves:
                 raise CoverError(f"cover curve id {new_id!r} reused")
             curves[new_id] = Curve(new_id, self_int=src.self_int, genus=src.genus,
-                                   k_degree=src.k_degree, node_count=src.node_count,
-                                   labels=src.labels)
+                                   k_degree=src.k_degree, node_count=src.node_count)
     for base_id, new_id in decl.connected:
         src = base.curves[base_id]
         if src.genus < 1:
@@ -92,7 +97,7 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         curves[new_id] = Curve(new_id, self_int=2 * src.self_int,
                                genus=2 * src.genus - 1,
                                k_degree=2 * src.k_degree,
-                               node_count=2 * src.node_count, labels=src.labels)
+                               node_count=2 * src.node_count)
 
     pairings: dict[tuple[str, str], int] = {}
     for (a, b), v in decl.pairings:
@@ -108,8 +113,7 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
     # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
     # the pairing between the two preimages of a.  Only pairs with a base or
     # a cover pairing can fail; the first failure in sorted order is raised.
-    base_of = {x: k for k, pre in decl.splits for x in pre}
-    base_of.update((x, k) for k, x in decl.connected)
+    base_of = decl.base_of()
     excess = {key: -2 * v for key, v in base.pairings.items()
               if key[0] in base.curves and key[1] in base.curves}
     for (x, y), v in pairings.items():

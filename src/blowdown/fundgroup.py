@@ -86,9 +86,6 @@ class DerivationTrace:
     def __iter__(self):
         return iter(self.steps)
 
-    def __len__(self):
-        return len(self.steps)
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -235,16 +232,14 @@ def pi1_after_blowdown(pi1_ambient: CyclicGroup,
         to_complement = CyclicHom(edge, current, 0)  # zero map: class was killed
         to_ball = CyclicHom(edge, ball, 1)           # reduction, surjective
         result = pushout_cyclic(current, ball, to_complement, to_ball)
+        inputs = {"B": current.order, "C": ball.order, "edge": edge.order,
+                  "f1": 0, "g1": 1}
         if result is None:
-            trace = trace.extend(_step(
-                "pushout_cyclic", {"B": current.order, "C": ball.order,
-                                   "edge": edge.order, "f1": 0, "g1": 1},
-                "unresolved", "no surjective leg"))
+            trace = trace.extend(_step("pushout_cyclic", inputs, "unresolved",
+                                       "no surjective leg"))
             return Derivation(None, "pushout not computable", trace)
         trace = trace.extend(_step(
-            "pushout_cyclic",
-            {"B": current.order, "C": ball.order, "edge": edge.order,
-             "f1": 0, "g1": 1},
+            "pushout_cyclic", inputs,
             f"Z{current.order} *_Z{edge.order} Z{ball.order} = Z{result.order}",
             f"gluing the rational ball B_{w.p},{w.q}: the boundary maps by "
             "zero into the complement (killed class) and onto the ball side"))

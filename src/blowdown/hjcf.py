@@ -66,9 +66,6 @@ class Chain:
     def __str__(self) -> str:
         return "[" + ",".join(str(b) for b in self.entries) + "]"
 
-    def reversed(self) -> "Chain":
-        return Chain(self.entries[::-1])
-
 
 @dataclass(frozen=True)
 class WahlParams:
@@ -87,24 +84,10 @@ class WahlParams:
         return f"({self.p},{self.q})"
 
 
-def _chain_unchecked(entries: tuple) -> Chain:
-    # fast path for internally-produced, already-valid entry tuples
-    c = Chain.__new__(Chain)
-    object.__setattr__(c, "entries", entries)
-    return c
-
-
 def as_chain(c: "Chain | Sequence[int]") -> Chain:
     if isinstance(c, Chain):
         return c
     return Chain(tuple(c))
-
-
-def _check_fraction(n: int, m: int):
-    if m <= 0 or n <= m:
-        raise ValueError(f"need 0 < m < n, got n={n}, m={m}")
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"n and m must be coprime, got n={n}, m={m}")
 
 
 _CHAIN_NEW = Chain.__new__
@@ -125,8 +108,10 @@ def hj_expand(n: int, m: int) -> Chain:
     where "2 * j" is a run of j 2s and the final odd-position term is
     a_k + 1 rather than a_k + 2 (and a_1 alone when k = 1).
     """
-    if m <= 0 or n <= m or _gcd(n, m) != 1:
-        _check_fraction(n, m)
+    if m <= 0 or n <= m:
+        raise ValueError(f"need 0 < m < n, got n={n}, m={m}")
+    if _gcd(n, m) != 1:
+        raise ValueError(f"n and m must be coprime, got n={n}, m={m}")
     q, r = divmod(n, m)
     if not r:
         out = [q]
@@ -170,7 +155,11 @@ def hj_eval(c: "Chain | Sequence[int]") -> tuple[int, int]:
 
 def wahl_recognize(c: "Chain | Sequence[int]") -> Optional[WahlParams]:
     """Return (p, q) if the chain resolves 1/p^2(1, pq-1), else None."""
-    n, m = hj_eval(c)
+    return wahl_params(*hj_eval(c))
+
+
+def wahl_params(n: int, m: int) -> Optional[WahlParams]:
+    """(p, q) if n/m = p^2/(pq - 1), the value of a Wahl chain, else None."""
     p = math.isqrt(n)
     if p * p != n:
         return None

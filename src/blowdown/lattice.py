@@ -3,7 +3,8 @@
 Gram matrices of curve collections, fraction-free determinants,
 negative-definiteness by leading principal minors (O(n) on the tridiagonal
 matrix of a chain), and the order of the first homology of a linear plumbing
-boundary (a lens space).  Everything is integer arithmetic.
+boundary (a lens space: the chain's continuant).  Everything is integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hjcf import Chain, as_chain
+from .hjcf import Chain, as_chain, hj_eval
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ def is_negative_definite(g: GramMatrix) -> bool:
 def boundary_group_order(c: "Chain | Sequence[int]") -> int:
     """|H_1| of the plumbing boundary lens space: |det| of the chain Gram matrix.
 
-    Always equals the numerator of the chain's continued-fraction value;
-    for a Wahl chain C_{p,q} this is p^2.
+    That is the continuant numerator n of the chain's value n/m, computed
+    in O(n); for a Wahl chain C_{p,q} it is p^2.
     """
-    return abs(det_exact(chain_gram(c)))
-
+    return hj_eval(c)[0]

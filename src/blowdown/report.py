@@ -16,7 +16,6 @@ SCHEMA_VERSION = 1
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-SKIPPED = "skipped"
 
 
 @dataclass

@@ -13,9 +13,9 @@ Grammar sketch (one statement per line, ``#`` comments)::
     description = free text
     tags = comma, separated
     [surface]
-    preset = enriques_kondo          # or explicit: e/sigma/pg/q/pi1_order
+    preset = enriques_kondo          # or explicit: e/sigma/pg/q/pi1_order, not both
     [curves]
-    X = -2 0 0 0 label1 label2      # self_int genus k_degree node_count labels
+    X = -2 0 0 0 auxiliary          # self_int genus k_degree node_count [ignored words]
     [pairings]
     S1.D3 = 1
     [blowups]
@@ -23,7 +23,7 @@ Grammar sketch (one statement per line, ``#`` comments)::
     E2 = point S1, F                 # transverse intersection point
     E3 = point S1*2                  # local multiplicity (needs a matching node)
     E4 = point                       # point on no curve
-    E5 = point S1, F consume S1.F=2  # override consumed local intersection
+    E5 = point S1, F consume S1.F=2  # override consumed local intersection (>= 0)
     [chains]
     chain = 2,2,9,2,2,2,2,4 expect 19,13
     [surgery]
@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .configuration import PointSpec, preset
+from .configuration import Curve, PointSpec, preset
 from .cover import SplittingDecl
 from .hjcf import Chain, WahlParams
 
@@ -71,16 +71,6 @@ SURGERY_KEYS = ("e", "sigma", "K2", "b2", "b2_plus", "b2_minus")
 
 
 @dataclass(frozen=True)
-class ExplicitCurve:
-    id: str
-    self_int: int
-    genus: int
-    k_degree: int
-    node_count: int
-    labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CoverSection:
     decl: SplittingDecl
     blowups: tuple[tuple[str, PointSpec, PointSpec], ...]  # (base step id, two lifts)
@@ -98,7 +88,7 @@ class Scenario:
     tags: tuple[str, ...]
     preset_name: Optional[str]
     explicit_surface: tuple[tuple[str, int], ...]  # e/sigma/pg/q/pi1_order
-    curves: tuple[ExplicitCurve, ...]
+    curves: tuple[Curve, ...]
     pairings: tuple[tuple[str, str, int], ...]
     blowups: tuple[PointSpec, ...]
     chains: tuple[tuple[Chain, Optional[WahlParams]], ...]
@@ -131,6 +121,8 @@ def _parse_incidences(lineno: int, text: str) -> tuple[tuple[tuple[str, int], ..
             if not m:
                 raise ScenarioError(lineno, f"bad consume clause {clause!r}")
             a, b, v = m.group(1), m.group(2), int(m.group(3))
+            if v < 0:
+                raise ScenarioError(lineno, f"consume value must be >= 0, got {clause!r}")
             consume.append((tuple(sorted((a, b))), v))
     incidences: list[tuple[str, int]] = []
     text = text.strip()
@@ -149,19 +141,16 @@ def _parse_incidences(lineno: int, text: str) -> tuple[tuple[tuple[str, int], ..
 
 def _parse_pointspec(lineno: int, new_id: str, rhs: str) -> PointSpec:
     rhs = rhs.strip()
-    m = _NODE_RE.match(rhs)
-    if m:
-        rest = m.group("rest") or ""
-        incidences, consume = _parse_incidences(lineno, rest)
+    m = _NODE_RE.match(rhs) or _POINT_RE.match(rhs)
+    if not m:
+        raise ScenarioError(
+            lineno, f"blow-up spec must start with 'point' or 'node', got {rhs!r}")
+    incidences, consume = _parse_incidences(lineno, m.group("rest") or "")
+    try:
         return PointSpec(new_id=new_id, incidences=incidences,
-                         node_of=m.group("curve"), pairwise_local=consume)
-    m = _POINT_RE.match(rhs)
-    if m:
-        rest = m.group("rest") or ""
-        incidences, consume = _parse_incidences(lineno, rest)
-        return PointSpec(new_id=new_id, incidences=incidences,
-                         pairwise_local=consume)
-    raise ScenarioError(lineno, f"blow-up spec must start with 'point' or 'node', got {rhs!r}")
+                         node_of=m.groupdict().get("curve"), pairwise_local=consume)
+    except ValueError as err:
+        raise ScenarioError(lineno, str(err))
 
 
 def _parse_chain(lineno: int, rhs: str) -> tuple[Chain, Optional[WahlParams]]:
@@ -186,13 +175,14 @@ def _parse_chain(lineno: int, rhs: str) -> tuple[Chain, Optional[WahlParams]]:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     meta: dict[str, str] = {}
-    surface: dict[str, str] = {}
-    curves: list[ExplicitCurve] = []
+    surface: dict[str, "str | int"] = {}
+    curves: list[Curve] = []
     pairings: list[tuple[str, str, int]] = []
     blowups: list[PointSpec] = []
     chains: list[tuple[Chain, Optional[WahlParams]]] = []
     surgery: list[tuple[str, int]] = []
-    pi1: dict[str, str] = {}
+    pi1_witness: Optional[str] = None
+    pi1_expect: Optional[int] = None
     cover_splits: dict[str, tuple[str, str]] = {}
     cover_connected: dict[str, str] = {}
     cover_pairings: dict[tuple[str, str], int] = {}
@@ -202,7 +192,6 @@ def parse_scenario(text: str) -> Scenario:
     cover_pi1: Optional[int] = None
     cover_gram: list[str] = []
     cover_gram_nonzero = False
-    has_cover = False
 
     section: Optional[str] = None
     schema_seen = False
@@ -220,8 +209,6 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(lineno, f"duplicate section [{name}]")
             seen_sections.add(name)
             section = name
-            if name == "cover":
-                has_cover = True
             continue
         if section is None:
             m = re.match(r"^schema\s*=\s*(\d+)$", line)
@@ -241,16 +228,22 @@ def parse_scenario(text: str) -> Scenario:
             m = re.match(r"^(preset|e|sigma|pg|q|pi1_order)\s*=\s*(\S+)$", line)
             if not m:
                 raise ScenarioError(lineno, f"unknown surface statement {line!r}")
-            surface[m.group(1)] = m.group(2)
+            key, value = m.groups()
+            if surface and (key == "preset") != ("preset" in surface):
+                raise ScenarioError(
+                    lineno, "[surface] takes a preset or explicit invariants, not both")
+            if key == "preset" or (key == "pi1_order" and value == "unknown"):
+                surface[key] = value
+            else:
+                surface[key] = _parse_int(lineno, value, key)
         elif section == "curves":
             m = re.match(r"^(\S+)\s*=\s*(-?\d+)\s+(\d+)\s+(-?\d+)\s+(\d+)(\s+.*)?$", line)
             if not m:
                 raise ScenarioError(
                     lineno, "curve line must be 'id = self_int genus k_degree "
                             f"node_count [labels]', got {line!r}")
-            labels = tuple((m.group(6) or "").split())
-            curves.append(ExplicitCurve(m.group(1), int(m.group(2)), int(m.group(3)),
-                                        int(m.group(4)), int(m.group(5)), labels))
+            curves.append(Curve(m.group(1), int(m.group(2)), int(m.group(3)),
+                                int(m.group(4)), int(m.group(5))))
         elif section == "pairings":
             m = re.match(r"^(\S+)\.(\S+)\s*=\s*(-?\d+)$", line)
             if not m:
@@ -263,12 +256,7 @@ def parse_scenario(text: str) -> Scenario:
             m = re.match(r"^(\S+)\s*=\s*(.*)$", line)
             if not m:
                 raise ScenarioError(lineno, f"blow-up line must be 'id = spec', got {line!r}")
-            try:
-                blowups.append(_parse_pointspec(lineno, m.group(1), m.group(2)))
-            except ValueError as err:
-                if isinstance(err, ScenarioError):
-                    raise
-                raise ScenarioError(lineno, str(err))
+            blowups.append(_parse_pointspec(lineno, m.group(1), m.group(2)))
         elif section == "chains":
             m = re.match(r"^chain\s*=\s*(.*)$", line)
             if not m:
@@ -284,7 +272,10 @@ def parse_scenario(text: str) -> Scenario:
             m = re.match(r"^(witness|expect_order)\s*=\s*(\S+)$", line)
             if not m:
                 raise ScenarioError(lineno, f"unknown pi1 statement {line!r}")
-            pi1[m.group(1)] = m.group(2)
+            if m.group(1) == "witness":
+                pi1_witness = m.group(2)
+            else:
+                pi1_expect = _parse_int(lineno, m.group(2), "expect_order")
         elif section == "cover":
             if line.startswith("split "):
                 m = re.match(r"^split\s+(\S+)\s*->\s*(\S+)\s*,\s*(\S+)$", line)
@@ -350,18 +341,19 @@ def parse_scenario(text: str) -> Scenario:
     if "surface" not in seen_sections:
         raise ScenarioError(1, "missing [surface] section")
 
-    preset_name = surface.get("preset")
+    preset_name = surface.pop("preset", None)
+    preset_ids: tuple[str, ...] = ()
     explicit: list[tuple[str, int]] = []
     if preset_name is None:
         for key in ("e", "sigma", "pg", "q"):
             if key not in surface:
                 raise ScenarioError(1, f"[surface] needs {key} when no preset is given")
-            explicit.append((key, int(surface[key])))
-        if "pi1_order" in surface and surface["pi1_order"] != "unknown":
-            explicit.append(("pi1_order", int(surface["pi1_order"])))
+            explicit.append((key, surface[key]))
+        if surface.get("pi1_order", "unknown") != "unknown":
+            explicit.append(("pi1_order", surface["pi1_order"]))
     else:
         try:
-            preset(preset_name)
+            preset_ids = tuple(preset(preset_name).curves)
         except KeyError:
             raise ScenarioError(1, f"unknown preset {preset_name!r}")
 
@@ -376,8 +368,8 @@ def parse_scenario(text: str) -> Scenario:
         blowups=tuple(blowups),
         chains=tuple(chains),
         surgery_expect=tuple(surgery),
-        pi1_witness=pi1.get("witness"),
-        pi1_expect_order=int(pi1["expect_order"]) if "expect_order" in pi1 else None,
+        pi1_witness=pi1_witness,
+        pi1_expect_order=pi1_expect,
         cover=CoverSection(
             decl=SplittingDecl.build(cover_splits, cover_connected, cover_pairings),
             blowups=tuple(cover_blowups),
@@ -386,9 +378,9 @@ def parse_scenario(text: str) -> Scenario:
             expect_pi1_order=cover_pi1,
             gram_ids=tuple(cover_gram),
             gram_expect_nonzero=cover_gram_nonzero,
-        ) if has_cover else None,
+        ) if "cover" in seen_sections else None,
     )
-    _validate_references(scenario, text)
+    _validate_references(scenario, text, preset_ids)
     return scenario
 
 
@@ -399,12 +391,11 @@ def _line_of(text: str, predicate) -> int:
     return 1
 
 
-def _validate_references(s: Scenario, text: str):
+def _validate_references(s: Scenario, text: str, preset_ids: tuple[str, ...]):
     """Dangling curve references, with best-effort line positions."""
-    known: set[str] = set()
-    if s.preset_name:
-        known.update(preset(s.preset_name).curves)
-    known.update(c.id for c in s.curves)
+    base_ids = set(preset_ids)
+    base_ids.update(c.id for c in s.curves)
+    known = set(base_ids)
 
     def err(needle: str, message: str):
         raise ScenarioError(_line_of(text, lambda raw: needle in raw), message)
@@ -424,19 +415,10 @@ def _validate_references(s: Scenario, text: str):
         err(s.pi1_witness, f"pi1 witness references undeclared curve {s.pi1_witness!r}")
 
     if s.cover is not None:
-        base_ids = set()
-        if s.preset_name:
-            base_ids.update(preset(s.preset_name).curves)
-        base_ids.update(c.id for c in s.curves)
-        declared = [k for k, _ in s.cover.decl.splits] + [k for k, _ in s.cover.decl.connected]
-        for cid in declared:
+        for cid, _ in s.cover.decl.splits + s.cover.decl.connected:
             if cid not in base_ids:
                 err(cid, f"cover lift declares unknown base curve {cid!r}")
-        cover_known: set[str] = set()
-        for _, (x, y) in s.cover.decl.splits:
-            cover_known.update((x, y))
-        for _, x in s.cover.decl.connected:
-            cover_known.add(x)
+        cover_known = set(s.cover.decl.base_of())
         base_steps = {step.new_id for step in s.blowups}
         for base_id, first, second in s.cover.blowups:
             if base_id not in base_steps:

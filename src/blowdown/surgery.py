@@ -12,10 +12,10 @@ citations to the literature, never computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .configuration import Configuration, InvariantSet
-from .hjcf import WahlParams, wahl_recognize
+from .hjcf import WahlParams, hj_eval, wahl_params
 from .lattice import gram, is_negative_definite
 
 
@@ -86,45 +86,63 @@ COVER_ASSUMPTIONS: tuple[Assumption, ...] = (
     ),
 )
 
-ASSUMPTION_REGISTRY: dict[str, Assumption] = {
-    a.key: a for a in SURGERY_ASSUMPTIONS + COVER_ASSUMPTIONS
-}
+
+@dataclass(frozen=True)
+class ChainFacts:
+    """One embedded chain and what the blow-down needs to know about it."""
+
+    ids: tuple[str, ...]
+    entries: tuple[int, ...]
+    params: Optional[WahlParams]  # None: not a Wahl chain
+    definite: bool  # Gram matrix negative definite
+    boundary_order: int  # |H_1| of the boundary lens space
 
 
-def rational_blowdown(config: Configuration,
-                      embeddings: Sequence[Sequence[str]]) -> SurgeryResult:
-    """Blow down the embedded Wahl chains; exact invariant bookkeeping.
+def chain_facts(config: Configuration,
+                embeddings: Sequence[Sequence[str]]) -> list[ChainFacts]:
+    """Derive each embedded chain's facts once, for the report and the surgery.
 
-    Each embedding must come from find_chains on this configuration: the
-    encoded chain must be Wahl-recognizable and negative definite, and the
-    chains must be pairwise disjoint with no pairings between them.
+    The chain's continuant n/m gives both its Wahl parameters and its
+    boundary order n (see boundary_group_order).
     """
-    pieces = []
-    removed: list[str] = []
-    seen: set[str] = set()
+    facts = []
     for emb in embeddings:
         ids = tuple(emb)
         for cid in ids:
             if cid not in config.curves:
                 raise SurgeryError(f"unknown curve id {cid!r}")
-            if cid in seen:
-                raise SurgeryError(f"chains overlap at {cid!r}")
         entries = tuple(-config.curves[cid].self_int for cid in ids)
-        params = wahl_recognize(entries)
-        if params is None:
-            raise SurgeryError(f"embedded chain {list(entries)} is not a Wahl chain")
-        g = gram(config, ids)
-        if not is_negative_definite(g):
-            raise SurgeryError(f"chain {list(ids)} is not negative definite")
-        for other in removed:
-            for cid in ids:
-                if config.pairing(cid, other) != 0:
-                    raise SurgeryError(
-                        f"chains are not disjoint: {cid} pairs with {other}")
-        pieces.append((params, len(ids)))
-        removed.extend(ids)
-        seen.update(ids)
+        n, m = hj_eval(entries)
+        facts.append(ChainFacts(ids, entries, wahl_params(n, m),
+                                is_negative_definite(gram(config, ids)), n))
+    return facts
 
+
+def rational_blowdown(config: Configuration,
+                      chains: Sequence[ChainFacts]) -> SurgeryResult:
+    """Blow down the embedded Wahl chains; exact invariant bookkeeping.
+
+    The facts come from chain_facts on this configuration.  Each chain must
+    be Wahl-recognizable and negative definite, and the chains must be
+    pairwise disjoint with no pairings between them.
+    """
+    member: dict[str, int] = {}  # curve id -> index of its chain
+    for k, chain in enumerate(chains):
+        for cid in chain.ids:
+            if cid not in config.curves:
+                raise SurgeryError(f"unknown curve id {cid!r}")
+            if member.setdefault(cid, k) != k:
+                raise SurgeryError(f"chains overlap at {cid!r}")
+        if chain.params is None:
+            raise SurgeryError(f"embedded chain {list(chain.entries)} is not a Wahl chain")
+        if not chain.definite:
+            raise SurgeryError(f"chain {list(chain.ids)} is not negative definite")
+    for (a, b), v in config.pairings.items():
+        if v and a in member and b in member and member[a] != member[b]:
+            other, cid = sorted((a, b), key=member.get)
+            raise SurgeryError(f"chains are not disjoint: {cid} pairs with {other}")
+
+    pieces = tuple((chain.params, len(chain.ids)) for chain in chains)
     total = sum(l for _, l in pieces)
     before = config.ambient
     after = InvariantSet.from_base(
@@ -135,7 +153,8 @@ def rational_blowdown(config: Configuration,
     )
     if after.b2_plus != before.b2_plus:
         raise SurgeryError("b2+ changed under surgery; bookkeeping bug")
-    return SurgeryResult(before, after, tuple(pieces), tuple(removed))
+    removed = tuple(cid for chain in chains for cid in chain.ids)
+    return SurgeryResult(before, after, pieces, removed)
 
 
 def smoothing_ledger(result: SurgeryResult) -> list[Assumption]:

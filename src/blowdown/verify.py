@@ -1,29 +1,29 @@
 """Scenario verification pipeline.
 
 Runs a parsed scenario through the library end to end: build the surface,
-apply the blow-up program, audit adjunction, locate the chains, run the
-lattice checks, perform the rational blow-down, derive the fundamental
-group, and (when declared) lift everything to the double cover.  Every
-computed value is compared against the scenario's expectations; failures
+apply the blow-up program, audit adjunction, and blow down the chains
+(find them, derive their lattice facts, do the surgery, compare with the
+expectations), derive the fundamental group, and (when declared) lift
+everything to the double cover and blow down there the same way.  Failures
 are report content, not exceptions.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import Optional, Sequence
 
-from .configuration import (BlowupError, Configuration, Curve, InvariantSet,
+from .configuration import (BlowupError, Configuration, InvariantSet,
                             adjunction_audit, find_chains, preset, run_program,
                             set_pairing)
 from .cover import CoverError, check_doubling, lift_configuration
 from .fundgroup import (CyclicGroup, minus_one_sphere_witness,
                         pi1_after_blowdown)
-from .hjcf import wahl_recognize
-from .lattice import boundary_group_order, det_exact, gram, is_negative_definite
+from .lattice import det_exact, gram
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .scenario import Scenario
-from .surgery import (COVER_ASSUMPTIONS, SurgeryError, rational_blowdown,
-                      smoothing_ledger)
+from .surgery import (COVER_ASSUMPTIONS, ChainFacts, SurgeryError, chain_facts,
+                      rational_blowdown, smoothing_ledger)
 
 
 def _build_surface(s: Scenario) -> Configuration:
@@ -31,16 +31,37 @@ def _build_surface(s: Scenario) -> Configuration:
         config = preset(s.preset_name)
     else:
         fields = dict(s.explicit_surface)
-        ambient = InvariantSet.from_base(e=fields["e"], sigma=fields["sigma"],
-                                         pg=fields["pg"], q=fields["q"])
-        config = Configuration({}, {}, ambient, fields.get("pi1_order"))
+        pi1_order = fields.pop("pi1_order", None)
+        config = Configuration({}, {}, InvariantSet.from_base(**fields), pi1_order)
     curves, pairings = dict(config.curves), dict(config.pairings)
-    for c in s.curves:
-        curves[c.id] = Curve(c.id, c.self_int, c.genus, c.k_degree, c.node_count,
-                             frozenset(c.labels))
+    curves.update((c.id, c) for c in s.curves)
     for a, b, v in s.pairings:
         set_pairing(curves, pairings, a, b, v)
     return Configuration(curves, pairings, config.ambient, config.pi1_order)
+
+
+def _mismatches(computed: InvariantSet, expect) -> dict:
+    """The expected invariants that differ from the computed ones."""
+    values = computed.as_dict()
+    return {k: {"expected": v, "computed": values[k]}
+            for k, v in dict(expect).items() if values[k] != v}
+
+
+def _blowdown(config: Configuration, targets, expect):
+    """Embed the targets, derive the chain facts, blow down, compare.
+
+    Returns (facts, result, mismatches, error): facts is None when a target
+    has no embedding, result is None when the surgery refuses the chains.
+    """
+    search = find_chains(config, targets)
+    if not search.found:
+        return None, None, None, f"no embedding for target {search.failed_target}"
+    facts = chain_facts(config, search.embeddings)
+    try:
+        result = rational_blowdown(config, facts)
+    except SurgeryError as err:
+        return facts, None, None, str(err)
+    return facts, result, _mismatches(result.after, expect), None
 
 
 def verify(s: Scenario, strict: bool = False) -> Report:
@@ -69,64 +90,42 @@ def verify(s: Scenario, strict: bool = False) -> Report:
     if violations:
         return report
 
-    embeddings = None
+    facts = result = None
     if s.chains:
-        targets = [c for c, _ in s.chains]
-        search = find_chains(final, targets)
-        if not search.found:
-            report.add("chains", FAIL,
-                       error=f"no embedding for target {search.failed_target}",
-                       targets=[str(c) for c in targets])
+        facts, result, mismatches, error = _blowdown(
+            final, [c for c, _ in s.chains], s.surgery_expect)
+        if facts is None:
+            report.add("chains", FAIL, error=error,
+                       targets=[str(c) for c, _ in s.chains])
         else:
-            embeddings = search.embeddings
-            recognized = []
-            expected_ok = True
-            definite = []
-            orders = []
-            for (chain, expect), emb in zip(s.chains, embeddings):
-                w = wahl_recognize(chain)
-                recognized.append(str(w) if w else "none")
-                if expect is not None and w != expect:
-                    expected_ok = False
-                definite.append(is_negative_definite(gram(final, emb)))
-                orders.append(boundary_group_order(chain))
-            status = PASS if expected_ok and all(definite) else FAIL
-            report.add("chains", status,
-                       embeddings=[list(e) for e in embeddings],
-                       wahl=recognized,
+            expected_ok = all(expect is None or f.params == expect
+                              for (_, expect), f in zip(s.chains, facts))
+            definite = [f.definite for f in facts]
+            report.add("chains", PASS if expected_ok and all(definite) else FAIL,
+                       embeddings=[list(f.ids) for f in facts],
+                       wahl=[str(f.params) if f.params else "none" for f in facts],
                        negative_definite=definite,
-                       boundary_orders=orders,
+                       boundary_orders=[f.boundary_order for f in facts],
                        expected_ok=expected_ok)
+            if result is None:
+                report.add("surgery", FAIL, error=error)
+                return report
+            failed = mismatches or (strict and not s.surgery_expect)
+            report.add("surgery", FAIL if failed else PASS,
+                       before=result.before.as_dict(), after=result.after.as_dict(),
+                       pieces=[[w.p, w.q, l] for w, l in result.pieces],
+                       total_length=result.total_length,
+                       expected=dict(s.surgery_expect), mismatches=mismatches)
+            report.assumptions.extend(a.as_dict() for a in smoothing_ledger(result))
     elif strict:
         report.add("chains", FAIL, error="strict mode: no [chains] section")
 
-    result = None
-    if embeddings is not None:
-        try:
-            result = rational_blowdown(final, embeddings)
-        except SurgeryError as err:
-            report.add("surgery", FAIL, error=str(err))
-            return report
-        computed = result.after.as_dict()
-        expected = dict(s.surgery_expect)
-        mismatches = {k: {"expected": v, "computed": computed[k]}
-                      for k, v in expected.items() if computed[k] != v}
-        status = PASS if not mismatches else FAIL
-        if strict and not expected:
-            status = FAIL
-        report.add("surgery", status,
-                   before=result.before.as_dict(), after=computed,
-                   pieces=[[w.p, w.q, l] for w, l in result.pieces],
-                   total_length=result.total_length,
-                   expected=expected, mismatches=mismatches)
-        report.assumptions.extend(a.as_dict() for a in smoothing_ledger(result))
-
     derived_pi1: Optional[int] = None
     if s.pi1_witness is not None:
-        if embeddings is None or result is None or len(embeddings) != 2:
+        if result is None or len(facts) != 2:
             report.add("pi1", FAIL, error="pi1 needs two embedded chains and a surgery")
         else:
-            witness_ok = minus_one_sphere_witness(final, embeddings[0], embeddings[1],
+            witness_ok = minus_one_sphere_witness(final, facts[0].ids, facts[1].ids,
                                                   s.pi1_witness)
             if final.pi1_order is None:
                 report.add("pi1", INCONCLUSIVE, error="ambient pi1 order unknown")
@@ -147,13 +146,37 @@ def verify(s: Scenario, strict: bool = False) -> Report:
                     derived_pi1 = order
 
     if s.cover is not None:
-        _verify_cover(s, base, final, derived_pi1, report)
+        _verify_cover(s, base, final, facts, derived_pi1, report)
 
     return report
 
 
+def _preimage_error(s: Scenario, base_chains: Sequence[ChainFacts],
+                    cover_chains: Sequence[ChainFacts]) -> Optional[str]:
+    """Why the cover chains are not two preimages of each base chain, if so.
+
+    A cover curve lies over the base curve of its split or connected line,
+    a cover blow-up over the base step it lifts; chains match up to reversal.
+    """
+    base_of = s.cover.decl.base_of()
+    base_of.update((step.new_id, bid) for bid, *lifts in s.cover.blowups for step in lifts)
+
+    def unoriented(ids) -> tuple[str, ...]:
+        ids = tuple(ids)
+        return min(ids, ids[::-1])
+
+    lifts = Counter(unoriented(base_of[cid] for cid in f.ids) for f in cover_chains)
+    for f in base_chains:
+        n = lifts.pop(unoriented(f.ids), 0)
+        if n != 2:
+            return f"cover: base chain [{', '.join(f.ids)}] has {n} preimage chains, not 2"
+    n = sum(lifts.values())
+    return f"cover: {n} cover chains lie over no base chain" if n else None
+
+
 def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
-                  base_pi1_order: Optional[int], report: Report):
+                  base_chains: Optional[list[ChainFacts]], base_pi1_order: Optional[int],
+                  report: Report):
     cov = s.cover
     try:
         lifted = lift_configuration(base, cov.decl)
@@ -188,63 +211,45 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
         "audit_violations": violations,
     }
     ok = not doubling and not violations
+    derived = True  # False: the pi1 order could not be derived
 
     if cov.gram_ids:
-        g = gram(cover_final, cov.gram_ids)
-        det = det_exact(g)
-        payload["gram_ids"] = list(cov.gram_ids)
-        payload["gram_det"] = det
-        payload["gram_nonzero"] = det != 0
-        if cov.gram_expect_nonzero and det == 0:
-            ok = False
+        det = det_exact(gram(cover_final, cov.gram_ids))
+        payload.update(gram_ids=list(cov.gram_ids), gram_det=det, gram_nonzero=det != 0)
+        ok = ok and not (cov.gram_expect_nonzero and det == 0)
         report.assumptions.extend(a.as_dict() for a in COVER_ASSUMPTIONS)
 
     if cov.chains:
-        search = find_chains(cover_final, cov.chains)
-        if not search.found:
-            payload["chains_error"] = f"no embedding for target {search.failed_target}"
-            ok = False
+        chains, result, mismatches, error = _blowdown(cover_final, cov.chains, cov.expect)
+        ok = ok and error is None and not mismatches
+        if chains is not None:
+            payload.update(chain_embeddings=[list(f.ids) for f in chains],
+                           chain_lengths=[len(f.ids) for f in chains])
+        if result is None:
+            payload["chains_error" if chains is None else "surgery_error"] = error
         else:
-            payload["chain_embeddings"] = [list(e) for e in search.embeddings]
-            payload["chain_lengths"] = [len(e) for e in search.embeddings]
-            try:
-                cover_surgery = rational_blowdown(cover_final, search.embeddings)
-            except SurgeryError as err:
-                payload["surgery_error"] = str(err)
+            payload.update(computed_after_surgery=result.after.as_dict(),
+                           expected=dict(cov.expect), mismatches=mismatches)
+        # pi1 of the cover surgery: when the cover chains are the preimages of
+        # the base chains, the induced double covering halves the order
+        # derived for the base surgery
+        if result is not None and cov.expect_pi1_order is not None:
+            if base_pi1_order is None or base_pi1_order % 2:
+                payload["pi1_error"] = (
+                    "cover: base scenario derived no pi1 order to halve"
+                    if base_pi1_order is None else
+                    f"cover: base pi1 order {base_pi1_order} is odd")
                 ok = False
+            elif (why := _preimage_error(s, base_chains, chains)) is not None:
+                payload["pi1_error"] = why
+                derived = False
             else:
-                after = cover_surgery.after.as_dict()
-                payload["computed_after_surgery"] = after
-                mismatches = {k: {"expected": v, "computed": after[k]}
-                              for k, v in cov.expect if after[k] != v}
-                payload["expected"] = dict(cov.expect)
-                payload["mismatches"] = mismatches
-                if mismatches:
-                    ok = False
-                # pi1 of the cover surgery: the induced double covering halves
-                # the order derived for the base surgery
-                if cov.expect_pi1_order is not None:
-                    if base_pi1_order is None:
-                        payload["pi1_error"] = ("cover: base scenario derived no "
-                                                "pi1 order to halve")
-                        ok = False
-                    elif base_pi1_order % 2 != 0:
-                        payload["pi1_error"] = (f"cover: base pi1 order "
-                                                f"{base_pi1_order} is odd")
-                        ok = False
-                    else:
-                        computed = base_pi1_order // 2
-                        payload["computed_pi1_order"] = computed
-                        payload["expected_pi1_order"] = cov.expect_pi1_order
-                        if computed != cov.expect_pi1_order:
-                            ok = False
+                payload["computed_pi1_order"] = base_pi1_order // 2
+                payload["expected_pi1_order"] = cov.expect_pi1_order
+                ok = ok and base_pi1_order // 2 == cov.expect_pi1_order
     elif cov.expect:
-        after = cover_final.ambient.as_dict()
-        mismatches = {k: {"expected": v, "computed": after[k]}
-                      for k, v in cov.expect if after[k] != v}
         payload["expected"] = dict(cov.expect)
-        payload["mismatches"] = mismatches
-        if mismatches:
-            ok = False
+        payload["mismatches"] = _mismatches(cover_final.ambient, cov.expect)
+        ok = ok and not payload["mismatches"]
 
-    report.add("cover", PASS if ok else FAIL, **payload)
+    report.add("cover", FAIL if not ok else PASS if derived else INCONCLUSIVE, **payload)

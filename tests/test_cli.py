@@ -58,6 +58,13 @@ class TestVerifyCommand:
         assert json.loads(out)["scenario"] == "k2_4_pi2"
         assert "/does/not/exist.scn:" in err and f"{broken}:" in err
 
+    def test_bad_width_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("BLOWDOWN_WIDTH", "abc")
+        assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "text"]) == 2
+        assert "BLOWDOWN_WIDTH" in capsys.readouterr().err
+        # the JSON report has no width to read
+        assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "json"]) == 0
+
     def test_strict_flags_missing_expectations(self, tmp_path):
         p = tmp_path / "bare.scn"
         p.write_text("schema = 1\n[surface]\npreset = enriques_kondo\n")

@@ -32,7 +32,7 @@ class TestPresets:
         cfg = preset("enriques_kondo")
         assert cfg.ambient.e == 12 and cfg.ambient.sigma == -8 and cfg.ambient.k2 == 0
         assert cfg.pi1_order == 2
-        assert len([c for c in cfg.curves.values() if "fiber-component" in c.labels]) == 9
+        assert len([cid for cid in cfg.curves if cid.startswith("D")]) == 9
         assert cfg.curves["F"].node_count == 1
         # 9-cycle
         assert cfg.pairing("D1", "D2") == 1
@@ -99,6 +99,11 @@ class TestBlowUp:
         cfg = preset("enriques_kondo")
         with pytest.raises(AdjunctionError):
             blow_up(cfg, PointSpec("E", incidences=(("D1", 2),)))
+
+    def test_rejects_negative_consume(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            PointSpec("E", incidences=(("S1", 1), ("F", 1)),
+                      pairwise_local=((("F", "S1"), -5),))
 
     def test_rejects_node_on_nodeless_curve(self):
         cfg = preset("enriques_kondo")

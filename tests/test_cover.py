@@ -1,8 +1,14 @@
+import re
+
 import pytest
 
+from blowdown import bundled
 from blowdown.configuration import Configuration, Curve, InvariantSet, preset
 from blowdown.cover import (CoverError, SplittingDecl, check_doubling,
                             lift_configuration)
+from blowdown.scenario import parse_scenario
+from blowdown.surgery import ChainFacts
+from blowdown.verify import _preimage_error, verify
 
 
 def full_split_decl(base, pairings=None):
@@ -130,3 +136,38 @@ class TestLift:
         lifted = lift_configuration(base, decl)
         cc = lifted.curves["Cc"]
         assert cc.self_int == 0 and cc.genus == 1 and cc.adjunction_defect() == 0
+
+
+def _facts(*chains):
+    # _preimage_error reads only the ids
+    return [ChainFacts(tuple(ids), (), None, True, 1) for ids in chains]
+
+
+class TestCoverPi1:
+    """The cover's pi1 order is halved only over preimage chains."""
+
+    def test_cover_chains_dropped_is_inconclusive(self):
+        # the two C(4,1) cover chains are left out, and the expectations are
+        # those of blowing down the two C(151,31) preimages alone
+        head, _, tail = bundled.text("cover_b2plus3").partition("[cover]")
+        tail = tail.replace("chain = 6,2,2\n", "")
+        for key, value in (("e", 20), ("sigma", -12), ("K2", 4)):
+            tail = re.sub(rf"^expect {key} = .*$", f"expect {key} = {value}", tail,
+                          flags=re.M)
+        cover = verify(parse_scenario(head + "[cover]" + tail)).sections["cover"]
+        assert cover["mismatches"] == {}
+        assert cover["status"] == "inconclusive"
+        assert "computed_pi1_order" not in cover
+        assert cover["pi1_error"] == \
+            "cover: base chain [T1, T5, T6] has 0 preimage chains, not 2"
+
+    def test_preimage_check(self):
+        s = parse_scenario(bundled.text("cover_b2plus3"))
+        base = _facts(("T1", "T5", "T6"), ("E7",))
+        # either orientation; blow-ups map through the lift plan
+        lifts = [("T1a", "T5a", "T6a"), ("T6b", "T5b", "T1b"), ("E7a",), ("E7b",)]
+        assert _preimage_error(s, base, _facts(*lifts)) is None
+        assert _preimage_error(s, base, _facts(*lifts[:3])) == \
+            "cover: base chain [E7] has 1 preimage chains, not 2"
+        assert _preimage_error(s, base, _facts(*lifts, ("S1a",))) == \
+            "cover: 1 cover chains lie over no base chain"

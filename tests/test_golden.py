@@ -1,0 +1,49 @@
+"""Reports pinned byte for byte.
+
+tests/golden holds the JSON and text reports of the bundled scenarios and
+the JSON reports of three failing variants of them.  A change to a report
+shows here first; regenerate a golden file only for an intended change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from blowdown import bundled
+from blowdown.scenario import parse_scenario
+from blowdown.verify import verify
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (bundled scenario, text replaced, replacement)
+VARIANTS = {
+    # a [chains] target that embeds but is not a Wahl chain
+    "variant_non_wahl": ("k2_4_pi2", "chain = 2,2,9,2,2,2,2,4 expect 19,13",
+                         "chain = 2,2,9,2,2,2,2"),
+    # a [surgery] expectation the blow-down does not meet
+    "variant_surgery_mismatch": ("k2_4_pi2", "K2 = 4", "K2 = 5"),
+    # a cover chain with no embedding
+    "variant_cover_no_embedding": ("cover_b2plus3", "chain = 6,2,2\nexpect",
+                                   "chain = 6,2,2\nchain = 7,2,2,2\nexpect"),
+}
+
+
+def _read(name: str) -> bytes:
+    return (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", bundled.names())
+def test_bundled_reports(name):
+    report = verify(parse_scenario(bundled.text(name)))
+    assert report.to_json().encode() == _read(f"{name}.json")
+    assert report.to_text().encode() == _read(f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_failing_variant_reports(name):
+    base, old, new = VARIANTS[name]
+    text = bundled.text(base)
+    assert old in text
+    report = verify(parse_scenario(text.replace(old, new)))
+    assert report.status == "fail"
+    assert report.to_json().encode() == _read(f"{name}.json")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from blowdown.configuration import preset
-from blowdown.hjcf import hj_eval, wahl_chain, wahl_family
+from blowdown.hjcf import wahl_chain, wahl_family
 from blowdown.lattice import (GramMatrix, boundary_group_order, chain_gram,
                               det_exact, gram, is_negative_definite)
 
@@ -151,7 +151,7 @@ class TestBoundaryOrder:
         for _ in range(300):
             length = rng.randint(1, 10)
             chain = [rng.randint(2, 7) for _ in range(length)]
-            assert boundary_group_order(chain) == hj_eval(chain)[0]
+            assert boundary_group_order(chain) == abs(det_exact(chain_gram(chain)))
 
     def test_wahl_chains_give_p_squared(self):
         for w, chain in wahl_family(40):

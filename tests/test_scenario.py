@@ -1,6 +1,6 @@
 import pytest
 
-from blowdown import bundled
+from blowdown import bundled, scenario
 from blowdown.scenario import ScenarioError, parse_scenario
 
 MINIMAL = """\
@@ -50,6 +50,18 @@ pi1_order = 2
 """
         s = parse_scenario(text)
         assert dict(s.explicit_surface)["e"] == 12
+
+    def test_preset_built_once(self, monkeypatch):
+        calls = []
+        build = scenario.preset
+
+        def counting(name):
+            calls.append(name)
+            return build(name)
+
+        monkeypatch.setattr(scenario, "preset", counting)
+        parse_scenario(bundled.text("cover_b2plus3"))
+        assert calls == ["enriques_kondo"]
 
     def test_comments_and_blank_lines(self):
         s = parse_scenario("# hi\n\nschema = 1\n[surface]\npreset = enriques_kondo\n# end\n")
@@ -124,3 +136,37 @@ class TestErrors:
             "blowup NOPE -> Xa = point Fa ; Xb = point Fb\n"
         with pytest.raises(ScenarioError, match="unknown base step"):
             parse_scenario(text)
+
+    def test_surface_value_not_integer(self):
+        text = "schema = 1\n[surface]\ne = abc\nsigma = -8\npg = 0\nq = 0\n"
+        with pytest.raises(ScenarioError, match="e: expected an integer") as err:
+            parse_scenario(text)
+        assert err.value.line == 3
+
+    def test_expect_order_not_integer(self):
+        text = MINIMAL + "[pi1]\nexpect_order = two\n"
+        with pytest.raises(ScenarioError, match="expect_order: expected an integer") as err:
+            parse_scenario(text)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("lines", [
+        "preset = enriques_kondo\ne = 12\n",
+        "e = 12\npreset = enriques_kondo\n",
+    ])
+    def test_preset_with_explicit_invariants(self, lines):
+        with pytest.raises(ScenarioError, match="preset or explicit") as err:
+            parse_scenario("schema = 1\n[surface]\n" + lines)
+        assert err.value.line == 4
+
+    def test_negative_consume(self):
+        text = MINIMAL + "[blowups]\nE1 = point S1, F consume S1.F=-5\n"
+        with pytest.raises(ScenarioError, match="consume value must be >= 0") as err:
+            parse_scenario(text)
+        assert err.value.line == 5
+
+    def test_bad_cover_point_is_positioned(self):
+        text = MINIMAL + "[blowups]\nE1 = point F\n[cover]\n" \
+            "blowup E1 -> E1a = point F1*0 ; E1b = point F2\n"
+        with pytest.raises(ScenarioError, match="multiplicity") as err:
+            parse_scenario(text)
+        assert err.value.line == 7

@@ -4,7 +4,7 @@ import pytest
 
 from blowdown.configuration import Configuration, Curve, InvariantSet
 from blowdown.hjcf import WahlParams, wahl_chain
-from blowdown.surgery import (SurgeryError, rational_blowdown,
+from blowdown.surgery import (SurgeryError, chain_facts, rational_blowdown,
                               smoothing_ledger)
 
 
@@ -37,7 +37,7 @@ class TestRationalBlowdown:
         c1, ids1 = config_with_chain(wahl_chain(73, 50).entries, "a")
         c2, ids2 = config_with_chain(wahl_chain(19, 13).entries, "b")
         cfg = merge(c1, c2)
-        result = rational_blowdown(cfg, [ids1, ids2])
+        result = rational_blowdown(cfg, chain_facts(cfg, [ids1, ids2]))
         after = result.after
         assert (after.e, after.sigma, after.k2) == (8, -4, 4)
         assert (after.b2, after.b2_plus, after.b2_minus) == (6, 1, 5)
@@ -50,36 +50,51 @@ class TestRationalBlowdown:
         c2, ids2 = config_with_chain(wahl_chain(4, 1).entries, "b",
                                      e=24, sigma=-20)
         cfg = merge(c1, c2)
-        after = rational_blowdown(cfg, [ids1, ids2]).after
+        after = rational_blowdown(cfg, chain_facts(cfg, [ids1, ids2])).after
         assert (after.e, after.sigma, after.k2) == (7, -3, 5)
         assert (after.b2, after.b2_plus) == (5, 1)
 
     def test_empty_is_identity(self):
         cfg, _ = config_with_chain([4])
-        result = rational_blowdown(cfg, [])
+        result = rational_blowdown(cfg, chain_facts(cfg, []))
         assert result.before == result.after
 
     def test_rejects_non_wahl(self):
         cfg, ids = config_with_chain([2, 2])
         with pytest.raises(SurgeryError, match="not a Wahl chain"):
-            rational_blowdown(cfg, [ids])
+            rational_blowdown(cfg, chain_facts(cfg, [ids]))
 
     def test_rejects_overlap(self):
         cfg, ids = config_with_chain(wahl_chain(2, 1).entries)
         with pytest.raises(SurgeryError, match="overlap"):
-            rational_blowdown(cfg, [ids, ids])
+            rational_blowdown(cfg, chain_facts(cfg, [ids, ids]))
 
     def test_rejects_touching_chains(self):
         c1, ids1 = config_with_chain([4], "a")
         c2, ids2 = config_with_chain([4], "b")
         cfg = merge(c1, c2).with_pairing("a0", "b0", 1)
         with pytest.raises(SurgeryError, match="disjoint"):
-            rational_blowdown(cfg, [ids1, ids2])
+            rational_blowdown(cfg, chain_facts(cfg, [ids1, ids2]))
+
+    def test_rejects_indefinite(self):
+        # C(3,1) = [5,2] with its two curves meeting 4 times: det 10 - 16 < 0
+        cfg, ids = config_with_chain(wahl_chain(3, 1).entries)
+        cfg = cfg.with_pairing(ids[0], ids[1], 4)
+        with pytest.raises(SurgeryError, match="not negative definite"):
+            rational_blowdown(cfg, chain_facts(cfg, [ids]))
+
+    def test_chain_facts(self):
+        c1, ids1 = config_with_chain(wahl_chain(19, 13).entries, "a")
+        c2, ids2 = config_with_chain([2, 2], "b")
+        f1, f2 = chain_facts(merge(c1, c2), [ids1, ids2])
+        assert (f1.ids, f1.entries) == (tuple(ids1), wahl_chain(19, 13).entries)
+        assert (f1.params, f1.definite, f1.boundary_order) == (WahlParams(19, 13), True, 361)
+        assert (f2.params, f2.definite, f2.boundary_order) == (None, True, 3)
 
     def test_rejects_unknown_ids(self):
         cfg, _ = config_with_chain([4])
         with pytest.raises(SurgeryError, match="unknown"):
-            rational_blowdown(cfg, [["zzz"]])
+            rational_blowdown(cfg, chain_facts(cfg, [["zzz"]]))
 
     def test_delta_rules_randomized(self):
         rng = random.Random(5)
@@ -92,7 +107,7 @@ class TestRationalBlowdown:
             cfg, ids = config_with_chain(chain.entries, "x",
                                          e=len(chain) + 40,
                                          sigma=-(len(chain) + 36))
-            r = rational_blowdown(cfg, [ids])
+            r = rational_blowdown(cfg, chain_facts(cfg, [ids]))
             l = len(chain)
             assert r.after.k2 - r.before.k2 == l
             assert r.after.sigma - r.before.sigma == l
@@ -104,7 +119,7 @@ class TestRationalBlowdown:
 class TestSmoothingLedger:
     def test_four_entries(self):
         cfg, ids = config_with_chain(wahl_chain(19, 13).entries)
-        result = rational_blowdown(cfg, [ids])
+        result = rational_blowdown(cfg, chain_facts(cfg, [ids]))
         ledger = smoothing_ledger(result)
         keys = [a.key for a in ledger]
         assert len(ledger) == 4
@@ -112,10 +127,10 @@ class TestSmoothingLedger:
 
     def test_symplectic_cites_symington(self):
         cfg, ids = config_with_chain(wahl_chain(4, 1).entries, e=24, sigma=-20)
-        ledger = smoothing_ledger(rational_blowdown(cfg, [ids]))
+        ledger = smoothing_ledger(rational_blowdown(cfg, chain_facts(cfg, [ids])))
         entry = next(a for a in ledger if a.key == "symplectic_structure")
         assert "Symington" in entry.citation
 
     def test_empty_surgery_empty_ledger(self):
         cfg, _ = config_with_chain([4])
-        assert smoothing_ledger(rational_blowdown(cfg, [])) == []
+        assert smoothing_ledger(rational_blowdown(cfg, chain_facts(cfg, []))) == []
