@@ -15,8 +15,8 @@ ordinary double points).  Operations never mutate: they return new values.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .hjcf import Chain, as_chain
@@ -49,7 +49,7 @@ def set_pairing(curves: dict, pairings: dict, a: str, b: str, value: int):
         pairings[key] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Curve:
     id: str
     self_int: int
@@ -173,6 +173,24 @@ class Configuration:
         if a == b:
             raise ValueError("self-pairing is undefined; nodes live in node_count")
         return self.pairings.get(pair_key(a, b), 0)
+
+    @cached_property
+    def neighbours(self) -> dict[str, dict[str, int]]:
+        """curve id -> {curve it meets: their pairing}, for every curve.
+
+        Built on first use and kept on this value, which never changes;
+        every stage reads its neighbourhoods here instead of scanning the
+        pairing table.  Read only.
+        """
+        near: dict[str, dict[str, int]] = {cid: {} for cid in self.curves}
+        for (a, b), v in self.pairings.items():
+            if v:
+                if a not in near or b not in near:  # a value the audit rejects
+                    near.setdefault(a, {})
+                    near.setdefault(b, {})
+                near[a][b] = v
+                near[b][a] = v
+        return near
 
     def with_pairing(self, a: str, b: str, value: int) -> "Configuration":
         pairings = dict(self.pairings)
@@ -323,15 +341,14 @@ def run_program(config: Configuration, steps: Iterable[PointSpec]) -> Configurat
 
 def adjunction_audit(config: Configuration) -> list[str]:
     """All adjunction/consistency violations; empty means clean."""
-    problems = []
-    for cid in sorted(config.curves):
-        defect = config.curves[cid].adjunction_defect()
-        if defect != 0:
-            problems.append(f"curve {cid}: adjunction defect {defect}")
-    for (a, b), v in sorted(config.pairings.items()):
-        if v < 0:
-            problems.append(f"pairing {a}.{b} negative ({v})")
-        if a not in config.curves or b not in config.curves:
+    curves, pairings = config.curves, config.pairings
+    problems = [f"curve {cid}: adjunction defect {curves[cid].adjunction_defect()}"
+                for cid in sorted(cid for cid, c in curves.items() if c.adjunction_defect())]
+    for a, b in sorted(key for key, v in pairings.items()
+                       if v < 0 or key[0] not in curves or key[1] not in curves):
+        if pairings[a, b] < 0:
+            problems.append(f"pairing {a}.{b} negative ({pairings[a, b]})")
+        if a not in curves or b not in curves:
             problems.append(f"pairing {a}.{b} references a missing curve")
     try:
         config.ambient.validate()
@@ -354,40 +371,35 @@ class ChainSearch:
 class _ChainIndex:
     """The chain search's view of a configuration, built once per call.
 
-    square: self-intersection of each smooth rational curve (the candidates);
-    by_square: candidates per self-intersection, sorted; near: neighbours at
-    any nonzero pairing; ones: candidate neighbours at pairing 1, sorted.
-    count[c]: embedded curves that are c or meet c; c is free at count 0 for
-    a chain's first position, and at count 1 (the previous curve) later.
+    square: self-intersection of each candidate, a smooth rational curve
+    whose square some target entry asks for; first: the candidates for a
+    chain's first curve, per self-intersection, sorted; near: the
+    configuration's neighbour map.  count[c]: embedded curves that are c or
+    meet c; c is free at count 0 for a chain's first position, and at
+    count 1 (the previous curve) later.
     """
 
-    __slots__ = ("square", "by_square", "near", "ones", "count")
+    __slots__ = ("square", "first", "near", "count")
 
-    def __init__(self, config: Configuration):
+    def __init__(self, config: Configuration, chains: list[tuple[int, ...]]):
+        wanted = {-b for entries in chains for b in entries}
         self.square = {cid: c.self_int for cid, c in config.curves.items()
-                       if c.genus == 0 and c.node_count == 0}
-        self.by_square: dict[int, list[str]] = {}
-        for cid in sorted(self.square):
-            self.by_square.setdefault(self.square[cid], []).append(cid)
-        self.near: dict[str, list[str]] = defaultdict(list)
-        self.ones: dict[str, list[str]] = {cid: [] for cid in self.square}
-        for (a, b), v in config.pairings.items():
-            if v:
-                self.near[a].append(b)
-                self.near[b].append(a)
-                if v == 1 and a in self.square and b in self.square:
-                    self.ones[a].append(b)
-                    self.ones[b].append(a)
-        for ids in self.ones.values():
+                       if c.self_int in wanted and c.genus == 0 and c.node_count == 0}
+        self.first: dict[int, list[str]] = {-entries[0]: [] for entries in chains}
+        for cid, square in self.square.items():
+            if square in self.first:
+                self.first[square].append(cid)
+        for ids in self.first.values():
             ids.sort()
-        self.count: dict[str, int] = defaultdict(int)
+        self.near = config.neighbours
+        self.count = dict.fromkeys(self.near, 0)
 
 
-def _mark(index: _ChainIndex, cid: str, step: int):
+def _unmark(index: _ChainIndex, cid: str):
     count = index.count
-    count[cid] += step
+    count[cid] -= 1
     for other in index.near[cid]:
-        count[other] += step
+        count[other] -= 1
 
 
 def _embeddings(index: _ChainIndex, entries: tuple[int, ...]):
@@ -395,29 +407,37 @@ def _embeddings(index: _ChainIndex, entries: tuple[int, ...]):
 
     An embedding stays marked in index.count while it is yielded, so a
     search for the next chain sees its curves and their neighbours as taken.
+    Marking a curve also collects the candidates that can follow it: its
+    neighbours at pairing 1.
     """
-    square, ones, count = index.square, index.ones, index.count
+    square, near, count = index.square, index.near, index.count
     last = len(entries) - 1
     partial: list[str] = []
-    levels = [iter(index.by_square.get(-entries[0], ()))]
+    levels = [iter(index.first[-entries[0]])]
     while levels:
         pos = len(partial)
-        free = 1 if pos else 0
+        free, want = (1 if pos else 0), -entries[pos]
         for cid in levels[-1]:
-            if count[cid] != free or square[cid] != -entries[pos]:
+            if count[cid] != free or square[cid] != want:
                 continue
-            _mark(index, cid, 1)
+            count[cid] += 1
+            ones = []
+            for other, v in near[cid].items():
+                count[other] += 1
+                if v == 1 and other in square:
+                    ones.append(other)
             if pos == last:
                 yield tuple(partial) + (cid,)
-                _mark(index, cid, -1)
+                _unmark(index, cid)
                 continue
+            ones.sort()
             partial.append(cid)
-            levels.append(iter(ones[cid]))
+            levels.append(iter(ones))
             break
         else:
             levels.pop()
             if partial:
-                _mark(index, partial.pop(), -1)
+                _unmark(index, partial.pop())
 
 
 def _solve(index: _ChainIndex, chains: list[tuple[int, ...]], i: int,
@@ -453,7 +473,7 @@ def find_chains(config: Configuration,
         raise ValueError("targets must be nonempty")
     chains = [as_chain(t).entries for t in targets]
     found: list[tuple[str, ...]] = []
-    failed = _solve(_ChainIndex(config), chains, 0, found)
+    failed = _solve(_ChainIndex(config, chains), chains, 0, found)
     if failed is None:
         return ChainSearch(True, tuple(found))
     return ChainSearch(False, (), failed)

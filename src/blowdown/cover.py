@@ -16,6 +16,7 @@ preimages of its centre.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .configuration import Configuration, Curve, InvariantSet, pair_key
@@ -27,7 +28,11 @@ class CoverError(ValueError):
 
 @dataclass(frozen=True)
 class SplittingDecl:
-    """Lift declaration: preimage names per base curve plus cover pairings."""
+    """Lift declaration: preimage names per base curve plus cover pairings.
+
+    Each pairing key (a, b) has a < b.  build also sorts the entries; the
+    scenario parser keeps them in file order.
+    """
 
     splits: tuple[tuple[str, tuple[str, str]], ...]
     connected: tuple[tuple[str, str], ...] = ()
@@ -53,8 +58,9 @@ class SplittingDecl:
                 return (v,)
         raise CoverError(f"no lift declared for base curve {base_id!r}")
 
+    @cached_property
     def base_of(self) -> dict[str, str]:
-        """The base curve under each declared cover curve."""
+        """The base curve under each declared cover curve (built once; read only)."""
         base_of = {x: k for k, pre in self.splits for x in pre}
         base_of.update((x, k) for k, x in self.connected)
         return base_of
@@ -70,13 +76,11 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
                          "double cover exists")
 
     declared = [k for k, _ in decl.splits] + [k for k, _ in decl.connected]
-    if sorted(declared) != sorted(base.curves):
+    if len(declared) != len(base.curves) or set(declared) != base.curves.keys():
         missing = set(base.curves) - set(declared)
         extra = set(declared) - set(base.curves)
         raise CoverError(f"splitting declaration mismatch: missing {sorted(missing)}, "
                          f"unknown {sorted(extra)}")
-    if len(set(declared)) != len(declared):
-        raise CoverError("a base curve is declared twice")
 
     curves: dict[str, Curve] = {}
     for base_id, (a, b) in decl.splits:
@@ -84,8 +88,8 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         for new_id in (a, b):
             if new_id in curves:
                 raise CoverError(f"cover curve id {new_id!r} reused")
-            curves[new_id] = Curve(new_id, self_int=src.self_int, genus=src.genus,
-                                   k_degree=src.k_degree, node_count=src.node_count)
+            curves[new_id] = Curve(new_id, src.self_int, src.genus, src.k_degree,
+                                   src.node_count)
     for base_id, new_id in decl.connected:
         src = base.curves[base_id]
         if src.genus < 1:
@@ -100,25 +104,28 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
                                node_count=2 * src.node_count)
 
     pairings: dict[tuple[str, str], int] = {}
-    for (a, b), v in decl.pairings:
-        for cid in (a, b):
-            if cid not in curves:
-                raise CoverError(f"cover pairing names unknown curve {cid!r}")
+    for (a, b), v in decl.pairings:  # keys already sorted
+        if a not in curves or b not in curves:
+            cid = a if a not in curves else b
+            raise CoverError(f"cover pairing names unknown curve {cid!r}")
         if v < 0:
             raise CoverError(f"negative cover pairing {a}.{b}")
         if v:
-            pairings[pair_key(a, b)] = v
+            pairings[a, b] = v
 
     # pullback sum rule for every base pair, and disjoint preimages of splits:
     # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
     # the pairing between the two preimages of a.  Only pairs with a base or
     # a cover pairing can fail; the first failure in sorted order is raised.
-    base_of = decl.base_of()
+    base_of = decl.base_of
     excess = {key: -2 * v for key, v in base.pairings.items()
               if key[0] in base.curves and key[1] in base.curves}
     for (x, y), v in pairings.items():
         a, b = base_of[x], base_of[y]
-        key = pair_key(a, b) if a != b else (a, "")
+        if a == b:
+            key = (a, "")
+        else:
+            key = (a, b) if a < b else (b, a)
         excess[key] = excess.get(key, 0) + v
     bad = [key for key, d in excess.items() if d]
     if bad:

@@ -190,11 +190,11 @@ def minus_one_sphere_witness(config: Configuration,
         return False
     if sphere_id in emb1 or sphere_id in emb2:
         return False
+    near = config.neighbours[sphere_id]
     for emb in (emb1, emb2):
         ids = tuple(emb)
         ends = {ids[0], ids[-1]}
-        meets = {cid: config.pairing(sphere_id, cid)
-                 for cid in ids if config.pairing(sphere_id, cid) != 0}
+        meets = {cid: near[cid] for cid in ids if cid in near}
         if len(meets) != 1:
             return False
         (cid, v), = meets.items()

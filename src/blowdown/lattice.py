@@ -40,8 +40,11 @@ class GramMatrix:
 
 
 def gram(config, ids: Sequence[str]) -> GramMatrix:
-    """Gram matrix of the listed curves: diagonal C.C, off-diagonal pairings."""
-    rows = [[0] * len(ids) for _ in ids]
+    """Gram matrix of the listed curves: diagonal C.C, off-diagonal pairings.
+
+    Each row is filled from the curve's neighbours, not from a scan of the
+    whole pairing table.
+    """
     pos: dict[str, int] = {}
     for i, cid in enumerate(ids):
         if cid in pos:
@@ -49,11 +52,17 @@ def gram(config, ids: Sequence[str]) -> GramMatrix:
         if cid not in config.curves:
             raise KeyError(f"unknown curve id {cid!r}")
         pos[cid] = i
-        rows[i][i] = config.curves[cid].self_int
-    for (a, b), v in config.pairings.items():
-        if a in pos and b in pos:
-            rows[pos[a]][pos[b]] = rows[pos[b]][pos[a]] = v
-    return GramMatrix(tuple(ids), tuple(map(tuple, rows)))
+    near = config.neighbours
+    rows = []
+    for i, cid in enumerate(ids):
+        row = [0] * len(ids)
+        row[i] = config.curves[cid].self_int
+        for other, v in near[cid].items():
+            j = pos.get(other)
+            if j is not None:
+                row[j] = v
+        rows.append(tuple(row))
+    return GramMatrix(tuple(ids), tuple(rows))
 
 
 def chain_gram(c: "Chain | Sequence[int]") -> GramMatrix:
@@ -131,13 +140,34 @@ def is_negative_definite(g: GramMatrix) -> bool:
     rows = g.rows
     if any(any(row[k + 2:]) for k, row in enumerate(rows)):  # not tridiagonal
         return _det_rows(rows, definite=True) != 0
+    return _tridiagonal_definite([row[k] for k, row in enumerate(rows)],
+                                 [row[k - 1] if k else 0 for k, row in enumerate(rows)])
+
+
+def _tridiagonal_definite(diagonal: Sequence[int], below: Sequence[int]) -> bool:
+    """The continuant test; below[k] is the entry left of diagonal[k] (below[0] unused)."""
     before, minor = 0, 1
-    for k, row in enumerate(rows):
-        c = row[k - 1] if k else 0
-        before, minor = minor, row[k] * minor - c * c * before
+    for k, (a, c) in enumerate(zip(diagonal, below)):
+        before, minor = minor, a * minor - c * c * before
         if minor == 0 or (minor < 0) != (k % 2 == 0):
             return False
     return True
+
+
+def curves_definite(config, ids: Sequence[str]) -> bool:
+    """Whether the Gram matrix of the listed curves is negative definite.
+
+    When only consecutive curves pair (every chain embedding), the matrix
+    is tridiagonal and the continuants are read off the neighbour map;
+    otherwise the Gram matrix goes through is_negative_definite.
+    """
+    near, pos = config.neighbours, {cid: i for i, cid in enumerate(ids)}
+    if len(pos) < len(ids) or any(abs(pos.get(other, i) - i) > 1
+                                  for i, cid in enumerate(ids) for other in near[cid]):
+        return is_negative_definite(gram(config, ids))
+    return _tridiagonal_definite([config.curves[cid].self_int for cid in ids],
+                                 [near[cid].get(ids[i - 1], 0) if i else 0
+                                  for i, cid in enumerate(ids)])
 
 
 def boundary_group_order(c: "Chain | Sequence[int]") -> int:

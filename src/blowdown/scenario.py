@@ -5,19 +5,24 @@ blow-up program, the chains to locate, the surgery expectations, the
 fundamental-group witness, and optionally a double-cover lift.  The grammar
 is versioned (``schema = 1``) and every parse error carries its line number.
 
-Grammar sketch (one statement per line, ``#`` comments)::
+One statement per line, ``#`` comments.  GRAMMAR below is the grammar: one
+table per section, one row per statement.  Statements marked (once) may
+appear at most once; so may a curve id (which the preset must not declare
+either), a pairing of the same two curves (in either order) and the lift
+of a base curve.  A repeated statement is an error at its line that names
+the line of the first one::
 
-    schema = 1
+    schema = 1                       # (once), before any section
     [meta]
-    name = my_scenario
+    name = my_scenario               # (once) each: name, description, tags
     description = free text
     tags = comma, separated
-    [surface]
-    preset = enriques_kondo          # or explicit: e/sigma/pg/q/pi1_order, not both
+    [surface]                        # a preset or explicit invariants, not both
+    preset = enriques_kondo          # (once) each: preset, e, sigma, pg, q, pi1_order
     [curves]
-    X = -2 0 0 0 auxiliary          # self_int genus k_degree node_count [ignored words]
+    X = -2 0 0 0 auxiliary           # self_int genus k_degree node_count [ignored words]
     [pairings]
-    S1.D3 = 1
+    S1.D3 = 1                        # >= 0; 0 removes a preset pairing
     [blowups]
     E1 = node F                      # blow up the node of F
     E2 = point S1, F                 # transverse intersection point
@@ -27,21 +32,18 @@ Grammar sketch (one statement per line, ``#`` comments)::
     [chains]
     chain = 2,2,9,2,2,2,2,4 expect 19,13
     [surgery]
-    e = 8
-    sigma = -4
-    K2 = 4
+    K2 = 4                           # (once) each: e, sigma, K2, b2, b2_plus, b2_minus
     [pi1]
-    witness = E9
-    expect_order = 2
+    witness = E9                     # (once)
+    expect_order = 2                 # (once)
     [cover]
     split F -> F1, F2
     connected X -> Xbar
     pairing F1.T1 = 1
     blowup E1 -> C1 = node F1 ; C2 = node F2
     chain = 6,2,2
-    expect e = 14
-    expect pi1_order = 1
-    gram = Da1, Da2 expect nonzero
+    expect e = 14                    # (once) each: the [surgery] keys and pi1_order
+    gram = Da1, Da2 expect nonzero   # (once)
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class ScenarioError(ValueError):
         self.line = line
         self.message = message
 
-
-SECTIONS = ("meta", "surface", "curves", "pairings", "blowups", "chains",
-            "surgery", "pi1", "cover")
 
 SURGERY_KEYS = ("e", "sigma", "K2", "b2", "b2_plus", "b2_minus")
 
@@ -98,8 +97,9 @@ class Scenario:
     cover: Optional[CoverSection]
 
 
-_POINT_RE = re.compile(r"^point(\s+(?P<rest>.*))?$")
-_NODE_RE = re.compile(r"^node\s+(?P<curve>\S+)(\s*,\s*(?P<rest>.*))?$")
+_POINT_RE = re.compile(r"point(?:\s+(?P<rest>.*))?")
+_NODE_RE = re.compile(r"node\s+(?P<curve>\S+)(?:\s*,\s*(?P<rest>.*))?")
+_CONSUME_RE = re.compile(r"(\S+)\.(\S+)\s*=\s*(-?\d+)")
 
 
 def _parse_int(lineno: int, text: str, what: str) -> int:
@@ -117,7 +117,7 @@ def _parse_incidences(lineno: int, text: str) -> tuple[tuple[tuple[str, int], ..
         text, _, tail = text.partition(" consume ")
         for clause in tail.split(","):
             clause = clause.strip()
-            m = re.match(r"^(\S+)\.(\S+)\s*=\s*(-?\d+)$", clause)
+            m = _CONSUME_RE.fullmatch(clause)
             if not m:
                 raise ScenarioError(lineno, f"bad consume clause {clause!r}")
             a, b, v = m.group(1), m.group(2), int(m.group(3))
@@ -141,7 +141,7 @@ def _parse_incidences(lineno: int, text: str) -> tuple[tuple[tuple[str, int], ..
 
 def _parse_pointspec(lineno: int, new_id: str, rhs: str) -> PointSpec:
     rhs = rhs.strip()
-    m = _NODE_RE.match(rhs) or _POINT_RE.match(rhs)
+    m = _NODE_RE.fullmatch(rhs) or _POINT_RE.fullmatch(rhs)
     if not m:
         raise ScenarioError(
             lineno, f"blow-up spec must start with 'point' or 'node', got {rhs!r}")
@@ -165,182 +165,240 @@ def _parse_chain(lineno: int, rhs: str) -> tuple[Chain, Optional[WahlParams]]:
         except ValueError as err:
             raise ScenarioError(lineno, f"bad Wahl parameters: {err}")
     try:
-        entries = tuple(int(x.strip()) for x in rhs.strip().split(","))
+        entries = tuple(map(int, rhs.split(",")))  # int() ignores surrounding blanks
         chain = Chain(entries)
     except ValueError as err:
         raise ScenarioError(lineno, f"bad chain: {err}")
     return chain, expect
 
 
+class _Parse:
+    """What one document has declared so far; the handlers in GRAMMAR fill it.
+
+    A handler takes the line number and the match of its row's pattern.
+    """
+
+    def __init__(self):
+        self.first: dict[tuple, int] = {}  # (kind, key...) -> line of its statement
+        self.schema = False
+        self.meta: dict[str, str] = {}
+        self.surface: dict[str, "str | int"] = {}
+        self.curves: list[Curve] = []
+        self.pairings: list[tuple[str, str, int]] = []
+        self.blowups: list[PointSpec] = []
+        self.blowup_lines: list[int] = []
+        self.chains: list[tuple[Chain, Optional[WahlParams]]] = []
+        self.surgery: dict[str, int] = {}
+        self.pi1: dict[str, "str | int"] = {}
+        self.splits: dict[str, tuple[str, str]] = {}
+        self.connected: dict[str, str] = {}
+        self.cover_pairings: dict[tuple[str, str], int] = {}
+        self.cover_blowups: list[tuple[str, PointSpec, PointSpec]] = []
+        self.cover_blowup_lines: list[int] = []
+        self.cover_chains: list[Chain] = []
+        self.cover_expect: dict[str, int] = {}
+        self.gram: Optional[tuple[list[str], bool]] = None
+
+    def once(self, lineno: int, identity: tuple[str, ...]):
+        """Reject a second statement (kind, key...), naming the first one's line."""
+        first = self.first.setdefault(identity, lineno)
+        if first != lineno:
+            what = f"{identity[0]} {'.'.join(identity[1:])}".lstrip()
+            raise ScenarioError(lineno, f"{what} repeated; first given at line {first}")
+
+    def reject_pairing(self, lineno: int, key: tuple[str, str, str], value: str):
+        """Why the pairing statement (kind, a, b) = value, a <= b, is refused."""
+        if value[0] == "-":
+            raise ScenarioError(lineno, "pairings must be >= 0")
+        if key[1] == key[2]:
+            raise ScenarioError(lineno, f"a curve does not pair with itself ({key[1]!r})")
+        self.once(lineno, key)
+
+    def schema_version(self, lineno, m):
+        if int(m["version"]) != 1:
+            raise ScenarioError(lineno, f"unsupported schema version {m['version']}")
+        self.schema = True
+
+    def surface_value(self, lineno, m):
+        key, value = m.group("key", "value")
+        if self.surface and (key == "preset") != ("preset" in self.surface):
+            raise ScenarioError(
+                lineno, "[surface] takes a preset or explicit invariants, not both")
+        if key != "preset" and not (key == "pi1_order" and value == "unknown"):
+            value = _parse_int(lineno, value, key)
+        self.surface[key] = value
+
+    def curve(self, lineno, m):
+        cid, self_int, genus, k_degree, nodes = m.group(
+            "id", "self_int", "genus", "k_degree", "nodes")
+        self.once(lineno, ("curve", cid))
+        self.curves.append(Curve(cid, int(self_int), int(genus), int(k_degree), int(nodes)))
+
+    def pairing(self, lineno, m):
+        a, b, value = m.group("a", "b", "value")
+        key = ("pairing", a, b) if a < b else ("pairing", b, a)
+        if self.first.setdefault(key, lineno) != lineno or a == b or value[0] == "-":
+            self.reject_pairing(lineno, key, value)
+        self.pairings.append((a, b, int(value)))
+
+    def pi1_value(self, lineno, m):
+        key, value = m.group("key", "value")
+        self.pi1[key] = value if key == "witness" else _parse_int(lineno, value, key)
+
+    def split(self, lineno, m):
+        base, one, two = m.group("split", "one", "two")
+        self.once(lineno, ("lift of", base))
+        self.splits[base] = (one, two)
+
+    def connect(self, lineno, m):
+        base, image = m.group("connected", "image")
+        self.once(lineno, ("lift of", base))
+        self.connected[base] = image
+
+    def cover_pairing(self, lineno, m):
+        x, y, n = m.group("x", "y", "n")
+        key = ("cover pairing", x, y) if x < y else ("cover pairing", y, x)
+        if self.first.setdefault(key, lineno) != lineno or x == y:
+            self.reject_pairing(lineno, key, n)
+        self.cover_pairings[key[1:]] = int(n)
+
+    def blowup(self, lineno, m):
+        self.blowups.append(_parse_pointspec(lineno, *m.group("id", "spec")))
+        self.blowup_lines.append(lineno)
+
+    def cover_blowup(self, lineno, m):
+        step, id1, spec1, id2, spec2 = m.group("step", "id1", "spec1", "id2", "spec2")
+        self.cover_blowups.append((step, _parse_pointspec(lineno, id1, spec1),
+                                   _parse_pointspec(lineno, id2, spec2)))
+        self.cover_blowup_lines.append(lineno)
+
+
+def _store(attr: str, convert):
+    """A handler that files the converted value of a 'key = value' statement."""
+    def handle(state: _Parse, lineno: int, m):
+        getattr(state, attr)[m["key"]] = convert(m["value"])
+    return handle
+
+
+class _Table:
+    """One section's statements, matched by one compiled alternation.
+
+    A row is (shape, pattern, handler, may repeat).  Row k's pattern is the
+    outer group _k of the alternation, so the match's lastindex names the
+    row; the handler reads the row's named groups.  The shapes are for
+    error messages.
+    """
+
+    __slots__ = ("match", "rows", "shapes")
+
+    def __init__(self, *rows):
+        pattern = re.compile("|".join(f"(?P<_{k}>{row[1]})" for k, row in enumerate(rows)))
+        self.match = pattern.fullmatch
+        self.rows = {pattern.groupindex[f"_{k}"]: (handle, repeat)
+                     for k, (_, _, handle, repeat) in enumerate(rows)}
+        self.shapes = [shape for shape, *_ in rows]
+
+    def error(self, section: Optional[str], line: str) -> str:
+        word = line.split(None, 1)[0]
+        shapes = [s for s in self.shapes if s.split(None, 1)[0] == word] or self.shapes
+        where = f"[{section}] statement" if section else "before any section, the statement"
+        return f"{where} must be {' or '.join(map(repr, shapes))}, got {line!r}"
+
+
+REPEAT, ONCE = True, False
+_SURGERY = "|".join(SURGERY_KEYS)
+
+# The grammar: per section (None: before the first one), one row per statement.
+GRAMMAR: dict[Optional[str], _Table] = {
+    None: _Table(
+        ("schema = 1", r"schema\s*=\s*(?P<version>\d+)", _Parse.schema_version, ONCE)),
+    "meta": _Table(
+        ("name|description|tags = text", r"(?P<key>name|description|tags)\s*=\s*(?P<value>.*)",
+         _store("meta", str.strip), ONCE)),
+    "surface": _Table(
+        ("preset|e|sigma|pg|q|pi1_order = value",
+         r"(?P<key>preset|e|sigma|pg|q|pi1_order)\s*=\s*(?P<value>\S+)",
+         _Parse.surface_value, ONCE)),
+    "curves": _Table(
+        ("id = self_int genus k_degree node_count [words]",
+         r"(?P<id>\S+)\s*=\s*(?P<self_int>-?\d+)\s+(?P<genus>\d+)\s+(?P<k_degree>-?\d+)"
+         r"\s+(?P<nodes>\d+)(?:\s+.*)?", _Parse.curve, REPEAT)),
+    "pairings": _Table(
+        ("a.b = n", r"(?P<a>\S+)\.(?P<b>\S+)\s*=\s*(?P<value>-?\d+)", _Parse.pairing, REPEAT)),
+    "blowups": _Table(
+        ("id = point|node spec", r"(?P<id>\S+)\s*=\s*(?P<spec>.*)", _Parse.blowup, REPEAT)),
+    "chains": _Table(
+        ("chain = b1,b2,... [expect p,q]", r"chain\s*=\s*(?P<chain>.*)",
+         lambda state, lineno, m: state.chains.append(_parse_chain(lineno, m["chain"])),
+         REPEAT)),
+    "surgery": _Table(
+        (f"{_SURGERY} = n", rf"(?P<key>{_SURGERY})\s*=\s*(?P<value>-?\d+)",
+         _store("surgery", int), ONCE)),
+    "pi1": _Table(
+        ("witness|expect_order = value", r"(?P<key>witness|expect_order)\s*=\s*(?P<value>\S+)",
+         _Parse.pi1_value, ONCE)),
+    "cover": _Table(
+        ("pairing a.b = n", r"pairing\s+(?P<x>\S+)\.(?P<y>\S+)\s*=\s*(?P<n>\d+)",
+         _Parse.cover_pairing, REPEAT),
+        ("split base -> id1, id2", r"split\s+(?P<split>\S+)\s*->\s*(?P<one>\S+)\s*,\s*(?P<two>\S+)",
+         _Parse.split, REPEAT),
+        ("connected base -> id", r"connected\s+(?P<connected>\S+)\s*->\s*(?P<image>\S+)",
+         _Parse.connect, REPEAT),
+        ("blowup step -> id1 = spec ; id2 = spec",
+         r"blowup\s+(?P<step>\S+)\s*->\s*(?P<id1>\S+)\s*=\s*(?P<spec1>.*?)\s*;"
+         r"\s*(?P<id2>\S+)\s*=\s*(?P<spec2>.*)", _Parse.cover_blowup, REPEAT),
+        ("chain = b1,b2,...", r"chain\s*=\s*(?P<chain>.*)",
+         lambda state, lineno, m: state.cover_chains.append(_parse_chain(lineno, m["chain"])[0]),
+         REPEAT),
+        (f"expect {_SURGERY}|pi1_order = n",
+         rf"expect\s+(?P<key>{_SURGERY}|pi1_order)\s*=\s*(?P<value>-?\d+)",
+         _store("cover_expect", int), ONCE),
+        ("gram = id1, id2, ... [expect nonzero]",
+         r"gram\s*=\s*(?P<ids>.*?)(?P<nonzero>\s+expect\s+nonzero)?",
+         lambda state, lineno, m: setattr(state, "gram", (
+             [x.strip() for x in m["ids"].split(",") if x.strip()], bool(m["nonzero"]))),
+         ONCE)),
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
-    meta: dict[str, str] = {}
-    surface: dict[str, "str | int"] = {}
-    curves: list[Curve] = []
-    pairings: list[tuple[str, str, int]] = []
-    blowups: list[PointSpec] = []
-    chains: list[tuple[Chain, Optional[WahlParams]]] = []
-    surgery: list[tuple[str, int]] = []
-    pi1_witness: Optional[str] = None
-    pi1_expect: Optional[int] = None
-    cover_splits: dict[str, tuple[str, str]] = {}
-    cover_connected: dict[str, str] = {}
-    cover_pairings: dict[tuple[str, str], int] = {}
-    cover_blowups: list[tuple[str, PointSpec, PointSpec]] = []
-    cover_chains: list[Chain] = []
-    cover_expect: list[tuple[str, int]] = []
-    cover_pi1: Optional[int] = None
-    cover_gram: list[str] = []
-    cover_gram_nonzero = False
-
+    state = _Parse()
     section: Optional[str] = None
-    schema_seen = False
+    table = GRAMMAR[None]
     seen_sections: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in SECTIONS:
-                raise ScenarioError(lineno, f"unknown section [{name}]")
-            if name in seen_sections:
-                raise ScenarioError(lineno, f"duplicate section [{name}]")
-            seen_sections.add(name)
-            section = name
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip()
+            if section not in GRAMMAR:
+                raise ScenarioError(lineno, f"unknown section [{section}]")
+            if section in seen_sections:
+                raise ScenarioError(lineno, f"duplicate section [{section}]")
+            seen_sections.add(section)
+            table = GRAMMAR[section]
             continue
-        if section is None:
-            m = re.match(r"^schema\s*=\s*(\d+)$", line)
-            if not m:
-                raise ScenarioError(lineno, "expected 'schema = 1' before any section")
-            if int(m.group(1)) != 1:
-                raise ScenarioError(lineno, f"unsupported schema version {m.group(1)}")
-            schema_seen = True
-            continue
+        m = table.match(line)
+        if m is None:
+            raise ScenarioError(lineno, table.error(section, line))
+        handle, repeat = table.rows[m.lastindex]
+        if not repeat:  # identity: the section and the words before '='
+            state.once(lineno, (f"[{section}]" if section else "",
+                                " ".join(line.partition("=")[0].split())))
+        handle(state, lineno, m)
 
-        if section == "meta":
-            m = re.match(r"^(name|description|tags)\s*=\s*(.*)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"unknown meta statement {line!r}")
-            meta[m.group(1)] = m.group(2).strip()
-        elif section == "surface":
-            m = re.match(r"^(preset|e|sigma|pg|q|pi1_order)\s*=\s*(\S+)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"unknown surface statement {line!r}")
-            key, value = m.groups()
-            if surface and (key == "preset") != ("preset" in surface):
-                raise ScenarioError(
-                    lineno, "[surface] takes a preset or explicit invariants, not both")
-            if key == "preset" or (key == "pi1_order" and value == "unknown"):
-                surface[key] = value
-            else:
-                surface[key] = _parse_int(lineno, value, key)
-        elif section == "curves":
-            m = re.match(r"^(\S+)\s*=\s*(-?\d+)\s+(\d+)\s+(-?\d+)\s+(\d+)(\s+.*)?$", line)
-            if not m:
-                raise ScenarioError(
-                    lineno, "curve line must be 'id = self_int genus k_degree "
-                            f"node_count [labels]', got {line!r}")
-            curves.append(Curve(m.group(1), int(m.group(2)), int(m.group(3)),
-                                int(m.group(4)), int(m.group(5))))
-        elif section == "pairings":
-            m = re.match(r"^(\S+)\.(\S+)\s*=\s*(-?\d+)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"pairing line must be 'a.b = n', got {line!r}")
-            v = int(m.group(3))
-            if v < 0:
-                raise ScenarioError(lineno, "pairings must be >= 0")
-            pairings.append((m.group(1), m.group(2), v))
-        elif section == "blowups":
-            m = re.match(r"^(\S+)\s*=\s*(.*)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"blow-up line must be 'id = spec', got {line!r}")
-            blowups.append(_parse_pointspec(lineno, m.group(1), m.group(2)))
-        elif section == "chains":
-            m = re.match(r"^chain\s*=\s*(.*)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"chain line must be 'chain = b1,b2,...', got {line!r}")
-            chains.append(_parse_chain(lineno, m.group(1)))
-        elif section == "surgery":
-            m = re.match(r"^(\w+)\s*=\s*(-?\d+)$", line)
-            if not m or m.group(1) not in SURGERY_KEYS:
-                raise ScenarioError(
-                    lineno, f"surgery expectation must be one of {SURGERY_KEYS}, got {line!r}")
-            surgery.append((m.group(1), int(m.group(2))))
-        elif section == "pi1":
-            m = re.match(r"^(witness|expect_order)\s*=\s*(\S+)$", line)
-            if not m:
-                raise ScenarioError(lineno, f"unknown pi1 statement {line!r}")
-            if m.group(1) == "witness":
-                pi1_witness = m.group(2)
-            else:
-                pi1_expect = _parse_int(lineno, m.group(2), "expect_order")
-        elif section == "cover":
-            if line.startswith("split "):
-                m = re.match(r"^split\s+(\S+)\s*->\s*(\S+)\s*,\s*(\S+)$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad split line {line!r}")
-                if m.group(1) in cover_splits or m.group(1) in cover_connected:
-                    raise ScenarioError(lineno, f"curve {m.group(1)!r} lifted twice")
-                cover_splits[m.group(1)] = (m.group(2), m.group(3))
-            elif line.startswith("connected "):
-                m = re.match(r"^connected\s+(\S+)\s*->\s*(\S+)$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad connected line {line!r}")
-                if m.group(1) in cover_splits or m.group(1) in cover_connected:
-                    raise ScenarioError(lineno, f"curve {m.group(1)!r} lifted twice")
-                cover_connected[m.group(1)] = m.group(2)
-            elif line.startswith("pairing "):
-                m = re.match(r"^pairing\s+(\S+)\.(\S+)\s*=\s*(\d+)$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad cover pairing line {line!r}")
-                key = tuple(sorted((m.group(1), m.group(2))))
-                cover_pairings[key] = int(m.group(3))
-            elif line.startswith("blowup "):
-                m = re.match(r"^blowup\s+(\S+)\s*->\s*(\S+)\s*=\s*(.*?)\s*;\s*(\S+)\s*=\s*(.*)$",
-                             line)
-                if not m:
-                    raise ScenarioError(
-                        lineno, "cover blow-up must be 'blowup BASE -> id1 = spec ; "
-                                f"id2 = spec', got {line!r}")
-                first = _parse_pointspec(lineno, m.group(2), m.group(3))
-                second = _parse_pointspec(lineno, m.group(4), m.group(5))
-                cover_blowups.append((m.group(1), first, second))
-            elif line.startswith("chain "):
-                m = re.match(r"^chain\s*=\s*(.*)$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad cover chain line {line!r}")
-                chain, _ = _parse_chain(lineno, m.group(1))
-                cover_chains.append(chain)
-            elif line.startswith("expect "):
-                m = re.match(r"^expect\s+(\w+)\s*=\s*(-?\d+)$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad cover expectation {line!r}")
-                key = m.group(1)
-                if key == "pi1_order":
-                    cover_pi1 = int(m.group(2))
-                elif key in SURGERY_KEYS:
-                    cover_expect.append((key, int(m.group(2))))
-                else:
-                    raise ScenarioError(lineno, f"unknown cover expectation key {key!r}")
-            elif line.startswith("gram "):
-                m = re.match(r"^gram\s*=\s*(.*?)(\s+expect\s+nonzero)?$", line)
-                if not m:
-                    raise ScenarioError(lineno, f"bad gram line {line!r}")
-                cover_gram = [x.strip() for x in m.group(1).split(",") if x.strip()]
-                cover_gram_nonzero = bool(m.group(2))
-            else:
-                raise ScenarioError(lineno, f"unknown cover statement {line!r}")
-        else:  # pragma: no cover
-            raise ScenarioError(lineno, f"statement outside any section: {line!r}")
-
-    if not schema_seen:
+    if not state.schema:
         raise ScenarioError(1, "empty or headerless document: missing 'schema = 1' "
                                "and a [surface] section")
     if "surface" not in seen_sections:
         raise ScenarioError(1, "missing [surface] section")
 
+    surface = state.surface
     preset_name = surface.pop("preset", None)
     preset_ids: tuple[str, ...] = ()
     explicit: list[tuple[str, int]] = []
@@ -357,78 +415,84 @@ def parse_scenario(text: str) -> Scenario:
         except KeyError:
             raise ScenarioError(1, f"unknown preset {preset_name!r}")
 
+    meta = state.meta
+    expect_pi1 = state.cover_expect.pop("pi1_order", None)
+    gram_ids, gram_nonzero = state.gram or ((), False)
     scenario = Scenario(
         name=meta.get("name", "unnamed"),
         description=meta.get("description", ""),
         tags=tuple(t.strip() for t in meta.get("tags", "").split(",") if t.strip()),
         preset_name=preset_name,
         explicit_surface=tuple(explicit),
-        curves=tuple(curves),
-        pairings=tuple(pairings),
-        blowups=tuple(blowups),
-        chains=tuple(chains),
-        surgery_expect=tuple(surgery),
-        pi1_witness=pi1_witness,
-        pi1_expect_order=pi1_expect,
+        curves=tuple(state.curves),
+        pairings=tuple(state.pairings),
+        blowups=tuple(state.blowups),
+        chains=tuple(state.chains),
+        surgery_expect=tuple(state.surgery.items()),
+        pi1_witness=state.pi1.get("witness"),
+        pi1_expect_order=state.pi1.get("expect_order"),
         cover=CoverSection(
-            decl=SplittingDecl.build(cover_splits, cover_connected, cover_pairings),
-            blowups=tuple(cover_blowups),
-            chains=tuple(cover_chains),
-            expect=tuple(cover_expect),
-            expect_pi1_order=cover_pi1,
-            gram_ids=tuple(cover_gram),
-            gram_expect_nonzero=cover_gram_nonzero,
+            # the handlers already sorted each pairing key, so no build()
+            decl=SplittingDecl(tuple(state.splits.items()), tuple(state.connected.items()),
+                               tuple(state.cover_pairings.items())),
+            blowups=tuple(state.cover_blowups),
+            chains=tuple(state.cover_chains),
+            expect=tuple(state.cover_expect.items()),
+            expect_pi1_order=expect_pi1,
+            gram_ids=tuple(gram_ids),
+            gram_expect_nonzero=gram_nonzero,
         ) if "cover" in seen_sections else None,
     )
-    _validate_references(scenario, text, preset_ids)
+    _validate_references(scenario, preset_ids, state)
     return scenario
 
 
-def _line_of(text: str, predicate) -> int:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if predicate(raw):
-            return lineno
-    return 1
-
-
-def _validate_references(s: Scenario, text: str, preset_ids: tuple[str, ...]):
-    """Dangling curve references, with best-effort line positions."""
+def _validate_references(s: Scenario, preset_ids: tuple[str, ...], state: _Parse):
+    """Dangling curve references and id collisions, at the line that makes them."""
+    lines = state.first
     base_ids = set(preset_ids)
+    for c in s.curves:
+        if c.id in base_ids:
+            raise ScenarioError(lines["curve", c.id],
+                                f"curve {c.id!r} is already declared by preset {s.preset_name!r}")
     base_ids.update(c.id for c in s.curves)
     known = set(base_ids)
 
-    def err(needle: str, message: str):
-        raise ScenarioError(_line_of(text, lambda raw: needle in raw), message)
-
     for a, b, _ in s.pairings:
-        for cid in (a, b):
-            if cid not in known:
-                err(f"{a}.{b}", f"pairing references undeclared curve {cid!r}")
-    for step in s.blowups:
+        if a not in known or b not in known:
+            lineno = lines[("pairing", a, b) if a < b else ("pairing", b, a)]
+            raise ScenarioError(lineno, "pairing references undeclared curve "
+                                        f"{a if a not in known else b!r}")
+    for step, lineno in zip(s.blowups, state.blowup_lines):
         for cid in step.touched():
             if cid not in known:
-                err(step.new_id, f"blow-up {step.new_id} references undeclared curve {cid!r}")
+                raise ScenarioError(
+                    lineno, f"blow-up {step.new_id} references undeclared curve {cid!r}")
         if step.new_id in known:
-            err(step.new_id, f"blow-up id {step.new_id!r} collides with an existing curve")
+            raise ScenarioError(
+                lineno, f"blow-up id {step.new_id!r} collides with an existing curve")
         known.add(step.new_id)
     if s.pi1_witness is not None and s.pi1_witness not in known:
-        err(s.pi1_witness, f"pi1 witness references undeclared curve {s.pi1_witness!r}")
+        raise ScenarioError(lines["[pi1]", "witness"],
+                            f"pi1 witness references undeclared curve {s.pi1_witness!r}")
 
     if s.cover is not None:
         for cid, _ in s.cover.decl.splits + s.cover.decl.connected:
             if cid not in base_ids:
-                err(cid, f"cover lift declares unknown base curve {cid!r}")
-        cover_known = set(s.cover.decl.base_of())
+                raise ScenarioError(lines["lift of", cid],
+                                    f"cover lift declares unknown base curve {cid!r}")
+        cover_known = set(s.cover.decl.base_of)
         base_steps = {step.new_id for step in s.blowups}
-        for base_id, first, second in s.cover.blowups:
+        for (base_id, first, second), lineno in zip(s.cover.blowups, state.cover_blowup_lines):
             if base_id not in base_steps:
-                err(base_id, f"cover blow-up lifts unknown base step {base_id!r}")
+                raise ScenarioError(lineno, f"cover blow-up lifts unknown base step {base_id!r}")
             for step in (first, second):
                 for cid in step.touched():
                     if cid not in cover_known:
-                        err(step.new_id,
-                            f"cover blow-up {step.new_id} references undeclared curve {cid!r}")
+                        raise ScenarioError(lineno, f"cover blow-up {step.new_id} references "
+                                                    f"undeclared curve {cid!r}")
                 cover_known.add(step.new_id)
         for cid in s.cover.gram_ids:
             if cid not in cover_known:
-                err(cid, f"gram list references undeclared cover curve {cid!r}")
+                raise ScenarioError(lines["[cover]", "gram"],
+                                    f"gram list references undeclared cover curve {cid!r}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .configuration import Configuration, InvariantSet
 from .hjcf import WahlParams, hj_eval, wahl_params
-from .lattice import gram, is_negative_definite
+from .lattice import curves_definite
 
 
 class SurgeryError(ValueError):
@@ -103,7 +103,8 @@ def chain_facts(config: Configuration,
     """Derive each embedded chain's facts once, for the report and the surgery.
 
     The chain's continuant n/m gives both its Wahl parameters and its
-    boundary order n (see boundary_group_order).
+    boundary order n (see boundary_group_order); definiteness comes from
+    the continuants of its Gram matrix (see curves_definite).
     """
     facts = []
     for emb in embeddings:
@@ -114,7 +115,7 @@ def chain_facts(config: Configuration,
         entries = tuple(-config.curves[cid].self_int for cid in ids)
         n, m = hj_eval(entries)
         facts.append(ChainFacts(ids, entries, wahl_params(n, m),
-                                is_negative_definite(gram(config, ids)), n))
+                                curves_definite(config, ids), n))
     return facts
 
 
@@ -137,10 +138,11 @@ def rational_blowdown(config: Configuration,
             raise SurgeryError(f"embedded chain {list(chain.entries)} is not a Wahl chain")
         if not chain.definite:
             raise SurgeryError(f"chain {list(chain.ids)} is not negative definite")
-    for (a, b), v in config.pairings.items():
-        if v and a in member and b in member and member[a] != member[b]:
-            other, cid = sorted((a, b), key=member.get)
-            raise SurgeryError(f"chains are not disjoint: {cid} pairs with {other}")
+    near = config.neighbours
+    for cid, k in member.items():
+        for other in near[cid]:
+            if member.get(other, k) < k:
+                raise SurgeryError(f"chains are not disjoint: {cid} pairs with {other}")
 
     pieces = tuple((chain.params, len(chain.ids)) for chain in chains)
     total = sum(l for _, l in pieces)

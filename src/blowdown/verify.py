@@ -158,7 +158,7 @@ def _preimage_error(s: Scenario, base_chains: Sequence[ChainFacts],
     A cover curve lies over the base curve of its split or connected line,
     a cover blow-up over the base step it lifts; chains match up to reversal.
     """
-    base_of = s.cover.decl.base_of()
+    base_of = dict(s.cover.decl.base_of)
     base_of.update((step.new_id, bid) for bid, *lifts in s.cover.blowups for step in lifts)
 
     def unoriented(ids) -> tuple[str, ...]:

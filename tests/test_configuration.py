@@ -143,6 +143,31 @@ class TestRunProgram:
             run_program(cfg, steps)
 
 
+class TestNeighbours:
+    def test_matches_pairing_table(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            base, steps = random_program(rng)
+            cfg = run_program(base, steps)
+            near = cfg.neighbours
+            assert set(near) == set(cfg.curves)
+            for a in cfg.curves:
+                assert near[a] == {b: cfg.pairing(a, b) for b in cfg.curves
+                                   if b != a and cfg.pairing(a, b)}
+
+    def test_built_once_per_value(self):
+        cfg = preset("enriques_kondo")
+        assert cfg.neighbours is cfg.neighbours
+        changed = cfg.with_pairing("S1", "D3", 1)
+        assert changed.neighbours["S1"] == {"D3": 1}
+        assert cfg.neighbours["S1"] == {}
+
+    def test_dangling_pairing(self):
+        cfg = Configuration({"A": Curve("A", -2)}, {("A", "Z"): 1},
+                            InvariantSet.from_base(e=12, sigma=-8, pg=0))
+        assert cfg.neighbours == {"A": {"Z": 1}, "Z": {"A": 1}}
+
+
 class TestFindChains:
     def test_single_minus_four(self):
         cfg = preset("enriques_kondo")

@@ -1,8 +1,10 @@
 """Reports pinned byte for byte.
 
-tests/golden holds the JSON and text reports of the bundled scenarios and
-the JSON reports of three failing variants of them.  A change to a report
-shows here first; regenerate a golden file only for an intended change.
+tests/golden holds the JSON and text reports of the bundled scenarios, the
+JSON reports of three failing variants of them, and a scenario written by
+``bench/scaled.py --seed 5`` (320 base curves) with its JSON report.  A
+change to a report shows here first; regenerate a golden file only for an
+intended change.
 """
 
 from pathlib import Path
@@ -47,3 +49,10 @@ def test_failing_variant_reports(name):
     report = verify(parse_scenario(text.replace(old, new)))
     assert report.status == "fail"
     assert report.to_json().encode() == _read(f"{name}.json")
+
+
+def test_scaled_report():
+    text = (GOLDEN / "scaled_5.scn").read_text(encoding="utf-8")
+    report = verify(parse_scenario(text))
+    assert report.status == "pass"
+    assert report.to_json().encode() == _read("scaled_5.json")

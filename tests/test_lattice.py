@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from blowdown.configuration import preset
+from blowdown.configuration import Configuration, Curve, InvariantSet, preset
 from blowdown.hjcf import wahl_chain, wahl_family
 from blowdown.lattice import (GramMatrix, boundary_group_order, chain_gram,
-                              det_exact, gram, is_negative_definite)
+                              curves_definite, det_exact, gram, is_negative_definite)
 
 
 def dense(ids, rows):
@@ -134,6 +134,57 @@ class TestDefiniteness:
         chain = wahl_chain(400, 1)
         assert len(chain) == 399
         assert is_negative_definite(chain_gram(chain))
+
+
+def random_configuration(rng, n, tridiagonal):
+    """n curves c0..c(n-1); only consecutive curves pair when tridiagonal."""
+    ids = [f"c{i}" for i in range(n)]
+    curves = {cid: Curve(cid, rng.randint(-7, 1)) for cid in ids}
+    pairings = {}
+    for i in range(n):
+        for j in range(i + 1, min(i + 2, n) if tridiagonal else n):
+            v = rng.choice([0, 0, 1, 1, 2, 3])
+            if v:
+                pairings[ids[i], ids[j]] = v
+    ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0)
+    return Configuration(curves, pairings, ambient), ids
+
+
+class TestCurvesDefinite:
+    def test_matches_gram_matrix(self):
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        for trial in range(1200):
+            cfg, ids = random_configuration(rng, rng.randint(1, 7), trial % 3 != 0)
+            rng.shuffle(ids)
+            order = ids[:rng.randint(1, len(ids))]
+            expected = is_negative_definite(gram(cfg, order))
+            seen[expected] += 1
+            assert curves_definite(cfg, order) == expected, (cfg.pairings, order)
+        assert min(seen.values()) > 100
+
+    def test_rows_come_from_neighbours(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            cfg, ids = random_configuration(rng, 6, False)
+            rng.shuffle(ids)
+            g = gram(cfg, ids[:4])
+            assert all(g.rows[i][j] == (cfg.curves[a].self_int if i == j else cfg.pairing(a, b))
+                       for i, a in enumerate(ids[:4]) for j, b in enumerate(ids[:4]))
+
+    def test_long_chain_without_gram(self, monkeypatch):
+        chain = wahl_chain(400, 1).entries
+        ids = [f"c{i}" for i in range(len(chain))]
+        curves = {cid: Curve(cid, -b) for cid, b in zip(ids, chain)}
+        cfg = Configuration(curves, {(ids[i], ids[i + 1]) if ids[i] < ids[i + 1]
+                                     else (ids[i + 1], ids[i]): 1
+                                     for i in range(len(ids) - 1)},
+                            InvariantSet.from_base(e=12, sigma=-8, pg=0))
+        monkeypatch.setattr("blowdown.lattice.gram", None)  # the chain needs no Gram matrix
+        assert curves_definite(cfg, ids)
+        monkeypatch.undo()
+        with pytest.raises(KeyError, match="duplicate"):  # a repeated id goes to gram
+            curves_definite(cfg, ids[:1] + ids)
 
 
 class TestBoundaryOrder:

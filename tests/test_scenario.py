@@ -1,6 +1,7 @@
 import pytest
 
 from blowdown import bundled, scenario
+from blowdown.cli import main
 from blowdown.scenario import ScenarioError, parse_scenario
 
 MINIMAL = """\
@@ -170,3 +171,105 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="multiplicity") as err:
             parse_scenario(text)
         assert err.value.line == 7
+
+
+EXPLICIT = ["schema = 1", "[surface]", "e = 12", "sigma = -8", "pg = 0", "q = 0"]
+PRESET = ["schema = 1", "[surface]", "preset = enriques_kondo"]
+
+# name -> (document lines, line of the repeat, line of the first statement)
+REPEATS = {
+    "surface_key": (EXPLICIT + ["e = 14"], 7, 3),
+    "surface_preset": (PRESET + ["preset = enriques_kondo"], 4, 3),
+    "meta_key": (["schema = 1", "[meta]", "name = a", "name=b"] + PRESET[1:], 4, 3),
+    "surgery_key": (PRESET + ["[surgery]", "K2 = 99", "K2 = 4"], 6, 5),
+    "pi1_expect_order": (PRESET + ["[pi1]", "expect_order = 7", "expect_order = 2"], 6, 5),
+    "pi1_witness": (PRESET + ["[pi1]", "witness = S1", "witness = S2"], 6, 5),
+    "cover_expect": (PRESET + ["[cover]", "expect e = 24", "expect  e=24"], 6, 5),
+    "cover_expect_pi1": (PRESET + ["[cover]", "expect pi1_order = 1",
+                                   "expect pi1_order = 1"], 6, 5),
+    "cover_gram": (PRESET + ["[cover]", "gram = D1a, D2a", "gram = D1a expect nonzero"], 6, 5),
+    "cover_pairing": (PRESET + ["[cover]", "pairing Fa.S1a = 1", "pairing S1a.Fa = 2"], 6, 5),
+    "base_pairing": (PRESET + ["[pairings]", "S1.D3 = 1", "D3.S1 = 0"], 6, 5),
+    "curve": (PRESET + ["[curves]", "X = -2 0 0 0", "X = -3 0 1 0"], 6, 5),
+    "schema": (["schema = 1", "schema = 1"] + PRESET[1:], 2, 1),
+    "cover_lift": (PRESET + ["[cover]", "split F -> Fa, Fb", "connected F -> Fbar"], 6, 5),
+}
+
+
+class TestRepeatedStatements:
+    """A repeated statement is a positioned exit-2 error that names the first one."""
+
+    @pytest.mark.parametrize("name", sorted(REPEATS))
+    def test_rejected_at_its_line(self, name, tmp_path, capsys):
+        lines, line, first = REPEATS[name]
+        with pytest.raises(ScenarioError, match=f"first given at line {first}$") as err:
+            parse_scenario("\n".join(lines) + "\n")
+        assert err.value.line == line
+        path = tmp_path / f"{name}.scn"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+
+    def test_stray_expect_order_in_bundled(self):
+        text = bundled.text("k2_4_pi2")
+        text = text.replace("expect_order = 2", "expect_order = 7\nexpect_order = 2")
+        first = text.splitlines().index("expect_order = 7") + 1
+        with pytest.raises(ScenarioError, match="pi1] expect_order repeated") as err:
+            parse_scenario(text)
+        assert err.value.line == first + 1
+
+    def test_distinct_statements_pass(self):
+        text = "\n".join(PRESET + ["[surgery]", "e = 8", "K2 = 4", "[pairings]",
+                                   "S1.D3 = 1", "S1.D4 = 1", "S2.D3 = 1"]) + "\n"
+        s = parse_scenario(text)
+        assert s.surgery_expect == (("e", 8), ("K2", 4))
+        assert len(s.pairings) == 3
+
+    @pytest.mark.parametrize("lines", [
+        PRESET + ["[pairings]", "D1.D1 = 1"],
+        PRESET + ["[cover]", "pairing Fa.Fa = 1"],
+    ])
+    def test_self_pairing_is_positioned(self, lines, tmp_path):
+        with pytest.raises(ScenarioError, match="does not pair with itself") as err:
+            parse_scenario("\n".join(lines) + "\n")
+        assert err.value.line == 5
+        path = tmp_path / "self.scn"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 2
+
+
+class TestReferences:
+    """Every reference error is raised at the line of its statement."""
+
+    @pytest.mark.parametrize("lines, line", [
+        # the undeclared id is a prefix of an earlier blow-up id
+        (PRESET + ["[blowups]", "E1 = point S1", "[pi1]", "witness = E"], 7),
+        # an earlier comment mentions the pairing
+        (PRESET[:1] + ["# D1.ZZ is declared below"] + PRESET[1:]
+         + ["[pairings]", "D1.ZZ = 1"], 6),
+        (PRESET + ["[blowups]", "E1 = point S1", "E2 = point E1", "E3 = point E9"], 7),
+        (PRESET + ["[cover]", "gram = Da1", "split GHOST -> Ga, Gb"], 6),
+    ])
+    def test_reference_errors_at_their_statement(self, lines, line):
+        with pytest.raises(ScenarioError, match="undeclared|unknown base curve") as err:
+            parse_scenario("\n".join(lines) + "\n")
+        assert err.value.line == line
+
+    def test_preset_curve_redeclared(self):
+        text = "\n".join(PRESET + ["[curves]", "X = -2 0 0 0", "F = -2 0 0 0"]) + "\n"
+        with pytest.raises(ScenarioError, match="'F' is already declared by preset") as err:
+            parse_scenario(text)
+        assert err.value.line == 6
+
+
+class TestStatementTable:
+    def test_unmatched_line_names_the_shape(self):
+        with pytest.raises(ScenarioError, match=r"\[cover\] statement must be "
+                                                r"'split base -> id1, id2'") as err:
+            parse_scenario("\n".join(PRESET + ["[cover]", "split F -> Fa"]) + "\n")
+        assert err.value.line == 5
+
+    def test_base_of_built_once(self):
+        decl = parse_scenario(bundled.text("cover_b2plus3")).cover.decl
+        assert decl.base_of is decl.base_of
+        assert decl.base_of["Da9"] == "D9"
