@@ -90,15 +90,20 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    if args.max_p < 2:
-        print("error: --max-p must be >= 2", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    print("p\tq\tlength\tchain\tboundary_order")
-    for w, chain in wahl_family(args.max_p):
-        if len(chain) > args.max_length:
-            continue
-        entries = ",".join(str(b) for b in chain)
-        print(f"{w.p}\t{w.q}\t{len(chain)}\t{entries}\t{w.p * w.p}")
+    max_p, max_length = args.max_p, args.max_length
+    for flag, value, least in (("--max-p", max_p, 2), ("--max-length", max_length, 1)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+    # entries of C(p, q) are at most p + 2 (C(p, 1) = [p + 2, 2, ..., 2])
+    text = [str(b) for b in range(max_p + 3)].__getitem__
+    rows = ["p\tq\tlength\tchain\tboundary_order\n"]
+    for w, chain in wahl_family(max_p):
+        entries = chain.entries
+        if len(entries) <= max_length:
+            rows.append(f"{w.p}\t{w.q}\t{len(entries)}\t{','.join(map(text, entries))}"
+                        f"\t{w.p * w.p}\n")
+    sys.stdout.write("".join(rows))
     return EXIT_PASS
 
 

@@ -200,11 +200,28 @@ def dual_chain(c: "Chain | Sequence[int]") -> Chain:
 
 
 def wahl_family(max_p: int) -> Iterator[tuple[WahlParams, Chain]]:
-    """All Wahl chains with 2 <= p <= max_p, in (p, q) lexicographic order."""
+    """All Wahl chains with 2 <= p <= max_p, in (p, q) lexicographic order.
+
+    Only the pairs with 2q <= p are expanded.  A reversed chain of value n/m
+    has value n/m' with m * m' = 1 (mod n), and
+
+        (pq - 1)(p(p - q) - 1) = p^2 (q(p - q) - 1) + 1 = 1 (mod p^2),
+
+    so for 2q > p the chain C(p, q) is C(p, p - q) reversed.
+    """
     for p in range(2, max_p + 1):
+        pp = p * p
+        half = {}  # q -> entries of C(p, q), for 2q <= p
         for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                yield WahlParams(p, q), wahl_chain(p, q)
+            if _gcd(p, q) != 1:
+                continue
+            if 2 * q <= p:
+                chain = hj_expand(pp, p * q - 1)
+                half[q] = chain.entries
+            else:
+                chain = _CHAIN_NEW(Chain)
+                _SETATTR(chain, "entries", half[p - q][::-1])
+            yield WahlParams(p, q), chain
 
 
 def wahl_closure(max_length: int) -> set[tuple[int, ...]]:

@@ -8,9 +8,9 @@ is versioned (``schema = 1``) and every parse error carries its line number.
 One statement per line, ``#`` comments.  GRAMMAR below is the grammar: one
 table per section, one row per statement.  Statements marked (once) may
 appear at most once; so may a curve id (which the preset must not declare
-either), a pairing of the same two curves (in either order) and the lift
-of a base curve.  A repeated statement is an error at its line that names
-the line of the first one::
+either), a pairing of the same two curves (in either order), the lift
+of a base curve and a cover curve id in the lifts.  A repeated statement is
+an error at its line that names the line of the first one::
 
     schema = 1                       # (once), before any section
     [meta]
@@ -245,14 +245,23 @@ class _Parse:
         key, value = m.group("key", "value")
         self.pi1[key] = value if key == "witness" else _parse_int(lineno, value, key)
 
+    def lift(self, lineno: int, base: str, images: tuple[str, ...]):
+        """The lift of one base curve, whose cover ids are new to the document."""
+        self.once(lineno, ("lift of", base))
+        if len(images) == 2 and images[0] == images[1]:
+            raise ScenarioError(lineno, f"the lift of {base!r} names cover curve "
+                                        f"{images[0]!r} twice")
+        for x in images:
+            self.once(lineno, ("cover curve", x))
+
     def split(self, lineno, m):
         base, one, two = m.group("split", "one", "two")
-        self.once(lineno, ("lift of", base))
+        self.lift(lineno, base, (one, two))
         self.splits[base] = (one, two)
 
     def connect(self, lineno, m):
         base, image = m.group("connected", "image")
-        self.once(lineno, ("lift of", base))
+        self.lift(lineno, base, (image,))
         self.connected[base] = image
 
     def cover_pairing(self, lineno, m):
@@ -482,6 +491,11 @@ def _validate_references(s: Scenario, preset_ids: tuple[str, ...], state: _Parse
                 raise ScenarioError(lines["lift of", cid],
                                     f"cover lift declares unknown base curve {cid!r}")
         cover_known = set(s.cover.decl.base_of)
+        for (x, y), _ in s.cover.decl.pairings:
+            for cid in (x, y):
+                if cid not in cover_known:
+                    raise ScenarioError(lines["cover pairing", x, y], "cover pairing "
+                                        f"references undeclared cover curve {cid!r}")
         base_steps = {step.new_id for step in s.blowups}
         for (base_id, first, second), lineno in zip(s.cover.blowups, state.cover_blowup_lines):
             if base_id not in base_steps:
@@ -491,6 +505,9 @@ def _validate_references(s: Scenario, preset_ids: tuple[str, ...], state: _Parse
                     if cid not in cover_known:
                         raise ScenarioError(lineno, f"cover blow-up {step.new_id} references "
                                                     f"undeclared curve {cid!r}")
+                if step.new_id in cover_known:
+                    raise ScenarioError(lineno, f"cover blow-up id {step.new_id!r} collides "
+                                                "with an existing cover curve")
                 cover_known.add(step.new_id)
         for cid in s.cover.gram_ids:
             if cid not in cover_known:

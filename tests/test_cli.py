@@ -108,6 +108,17 @@ class TestSmallCommands:
         assert ["2", "1", "1", "4", "4"] in rows
         assert ["4", "1", "3", "6,2,2", "16"] in rows
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-p", "1"], "--max-p must be >= 2"),
+        (["--max-length", "0"], "--max-length must be >= 1"),
+        (["--max-p", "5", "--max-length", "-3"], "--max-length must be >= 1"),
+    ])
+    def test_chains_bounds_checked(self, argv, message, capsys):
+        assert main(["chains"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_gram_command(self, capsys):
         rc = main(["gram", str(bundled.path("k2_4_pi2")), "D5,D6,D7"])
         out = capsys.readouterr().out

@@ -4,7 +4,8 @@ tests/golden holds the JSON and text reports of the bundled scenarios, the
 JSON reports of three failing variants of them, and a scenario written by
 ``bench/scaled.py --seed 5`` (320 base curves) with its JSON report.  A
 change to a report shows here first; regenerate a golden file only for an
-intended change.
+intended change.  ``chains_p60.tsv`` is the output of
+``blowdown chains --max-p 60 --max-length 60``.
 """
 
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from blowdown import bundled
+from blowdown.cli import main
 from blowdown.scenario import parse_scenario
 from blowdown.verify import verify
 
@@ -56,3 +58,8 @@ def test_scaled_report():
     report = verify(parse_scenario(text))
     assert report.status == "pass"
     assert report.to_json().encode() == _read("scaled_5.json")
+
+
+def test_chains_atlas(capsysbinary):
+    assert main(["chains", "--max-p", "60", "--max-length", "60"]) == 0
+    assert capsysbinary.readouterr().out == _read("chains_p60.tsv")

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowdown.cli import main
 from blowdown.hjcf import (Chain, WahlParams, dual_chain, hj_eval, hj_expand,
                            tchain_children, wahl_chain, wahl_closure,
                            wahl_family, wahl_recognize)
@@ -214,6 +215,35 @@ class TestProperties:
     def test_duality_involution(self, bs):
         c = Chain(tuple(bs))
         assert dual_chain(dual_chain(c)) == c
+
+
+class TestWahlFamily:
+    """wahl_family expands the pairs with 2q <= p and reverses the others."""
+
+    def test_matches_wahl_chain(self):
+        pairs = [(p, q) for p in range(2, 151) for q in range(1, p) if math.gcd(p, q) == 1]
+        assert list(wahl_family(150)) == [(WahlParams(p, q), wahl_chain(p, q))
+                                          for p, q in pairs]
+
+    def test_entries_at_most_p_plus_2(self):
+        # the bound the atlas's table of entry strings relies on
+        for w, chain in wahl_family(150):
+            assert max(chain.entries) <= w.p + 2
+        assert max(wahl_chain(150, 1).entries) == 152
+
+    def test_atlas_row_count_is_totient_sum(self, capsys):
+        def phi(n):
+            result, rest = n, n
+            for f in range(2, n + 1):
+                if rest % f == 0:
+                    result -= result // f
+                    while rest % f == 0:
+                        rest //= f
+            return result
+
+        assert main(["chains", "--max-p", "40", "--max-length", "1000"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == sum(phi(p) for p in range(2, 41)) == 489
 
 
 def _compositions(total, parts, minimum=2):

@@ -238,6 +238,37 @@ class TestRepeatedStatements:
         assert main(["verify", str(path)]) == 2
 
 
+# name -> (line of cover_b2plus3 replaced, replacement, message)
+COVER_ID_CLASHES = {
+    "preimage_in_two_lifts": ("split D2 -> Da2, Db2", "split D2 -> Da1, Db2",
+                              "cover curve Da1 repeated; first given at line"),
+    "preimage_twice_in_one_lift": ("split D2 -> Da2, Db2", "split D2 -> Da2, Da2",
+                                   "names cover curve 'Da2' twice"),
+    "pairing_undeclared": ("pairing Da1.Da2 = 1", "pairing Da1.Zz9 = 1",
+                           "undeclared cover curve 'Zz9'"),
+    "blowup_id_is_preimage": ("E1a = node F1c ; E1b = node F2c",
+                              "E1a = node F1c ; Da1 = node F2c",
+                              "cover blow-up id 'Da1' collides"),
+}
+
+
+class TestCoverIds:
+    """A cover id clash is a positioned exit 2 at the line that makes it."""
+
+    @pytest.mark.parametrize("name", sorted(COVER_ID_CLASHES))
+    def test_rejected_at_its_line(self, name, tmp_path, capsys):
+        old, new, message = COVER_ID_CLASHES[name]
+        text = bundled.text("cover_b2plus3")
+        line = next(i for i, x in enumerate(text.splitlines(), start=1) if old in x)
+        path = tmp_path / f"{name}.scn"
+        path.write_text(text.replace(old, new, 1))
+        assert main(["verify", str(path)]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(path.read_text())
+        assert err.value.line == line
+
+
 class TestReferences:
     """Every reference error is raised at the line of its statement."""
 
