@@ -11,7 +11,8 @@ Exit codes: 0 success/pass, 1 verification failure or inconclusive result,
 2 malformed input.
 
 The text report width honours the optional BLOWDOWN_WIDTH environment
-variable (default 72); there is no other environment configuration.
+variable (an integer >= 1, default 72); there is no other environment
+configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .configuration import BlowupError, run_program
-from .hjcf import hj_expand, wahl_family, wahl_recognize
+from .hjcf import hj_expand, wahl_recognize, wahl_texts
 from .lattice import det_exact, gram, is_negative_definite
 from .report import emit
 from .scenario import ScenarioError, parse_scenario
@@ -40,7 +41,9 @@ def _cmd_verify(args) -> int:
         try:
             width = int(raw)
         except ValueError:
-            print(f"error: BLOWDOWN_WIDTH must be an integer, got {raw!r}",
+            width = 0  # rejected below with the other widths < 1
+        if width < 1:
+            print(f"error: BLOWDOWN_WIDTH must be an integer >= 1, got {raw!r}",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
     worst = EXIT_PASS
@@ -72,7 +75,10 @@ def _cmd_expand(args) -> int:
 
 
 def _parse_entries(text: str) -> list[int]:
-    return [int(x) for x in text.replace(" ", "").split(",") if x]
+    parts = text.replace(" ", "").split(",")
+    if "" in parts:
+        raise ValueError(f"empty entry in {text!r}")
+    return [int(x) for x in parts]
 
 
 def _cmd_recognize(args) -> int:
@@ -95,19 +101,19 @@ def _cmd_chains(args) -> int:
         if value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    # entries of C(p, q) are at most p + 2 (C(p, 1) = [p + 2, 2, ..., 2])
-    text = [str(b) for b in range(max_p + 3)].__getitem__
     rows = ["p\tq\tlength\tchain\tboundary_order\n"]
-    for w, chain in wahl_family(max_p):
-        entries = chain.entries
-        if len(entries) <= max_length:
-            rows.append(f"{w.p}\t{w.q}\t{len(entries)}\t{','.join(map(text, entries))}"
-                        f"\t{w.p * w.p}\n")
+    for p, q, length, text in wahl_texts(max_p):
+        if length <= max_length:
+            rows.append(f"{p}\t{q}\t{length}\t{text}\t{p * p}\n")
     sys.stdout.write("".join(rows))
     return EXIT_PASS
 
 
 def _cmd_gram(args) -> int:
+    ids = [x.strip() for x in args.ids.split(",")]
+    if "" in ids:
+        print(f"error: empty curve id in {args.ids!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         text = Path(args.file).read_text(encoding="utf-8")
         scenario = parse_scenario(text)
@@ -119,11 +125,10 @@ def _cmd_gram(args) -> int:
     except (BlowupError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    ids = [x.strip() for x in args.ids.split(",") if x.strip()]
     try:
         g = gram(config, ids)
     except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(g)
     print(f"det = {det_exact(g)}")

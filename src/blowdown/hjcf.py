@@ -224,6 +224,56 @@ def wahl_family(max_p: int) -> Iterator[tuple[WahlParams, Chain]]:
             yield WahlParams(p, q), chain
 
 
+def wahl_texts(max_p: int) -> Iterator[tuple[int, int, int, str]]:
+    """(p, q, length, text) for the pairs of wahl_family, in the same order.
+
+    text is the chain of C(p, q) joined by commas.  It is written straight
+    from the regular continued fraction, as hj_expand's blockwise loop
+    walks it: one string per odd-position entry and one pre-joined piece
+    per run of 2s.  A Wahl chain of p has at most p - 1 entries, each at
+    most p + 2, so its runs of 2s are at most p - 2 long.  A run of 2s
+    reads the same backwards, so for 2q > p the pieces of C(p, p - q) are
+    reversed as in wahl_family.
+    """
+    num = [str(b) for b in range(max_p + 3)]
+    twos = [",".join("2" * j) for j in range(max_p - 1)]  # twos[j]: a run of j 2s
+    for p in range(2, max_p + 1):
+        pp = p * p
+        half = {}  # q -> (length, pieces) of C(p, q), for 2q <= p
+        for q in range(1, p):
+            if _gcd(p, q) != 1:
+                continue
+            if 2 * q > p:
+                length, pieces = half[p - q]
+                yield p, q, length, ",".join(reversed(pieces))
+                continue
+            n, m = pp, p * q - 1
+            a, r = divmod(n, m)
+            length = 1
+            if not r:
+                pieces = [num[a]]
+            else:
+                pieces = [num[a + 1]]
+                n, m = m, r
+                while True:
+                    a, r = divmod(n, m)
+                    if a > 1:
+                        pieces.append(twos[a - 1])
+                        length += a - 1
+                    if not r:
+                        break
+                    n, m = m, r
+                    a, r = divmod(n, m)
+                    length += 1
+                    if not r:
+                        pieces.append(num[a + 1])
+                        break
+                    pieces.append(num[a + 2])
+                    n, m = m, r
+            half[q] = length, pieces
+            yield p, q, length, ",".join(pieces)
+
+
 def wahl_closure(max_length: int) -> set[tuple[int, ...]]:
     """Closure of {[4]} under tchain_children, cut off at the given length."""
     seed = (4,)

@@ -59,9 +59,11 @@ class TestVerifyCommand:
         assert "/does/not/exist.scn:" in err and f"{broken}:" in err
 
     def test_bad_width_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("BLOWDOWN_WIDTH", "abc")
-        assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "text"]) == 2
-        assert "BLOWDOWN_WIDTH" in capsys.readouterr().err
+        for width in ("abc", "0", "-3"):
+            monkeypatch.setenv("BLOWDOWN_WIDTH", width)
+            assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "text"]) == 2
+            captured = capsys.readouterr()
+            assert "BLOWDOWN_WIDTH" in captured.err and not captured.out
         # the JSON report has no width to read
         assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "json"]) == 0
 
@@ -98,7 +100,11 @@ class TestSmallCommands:
         assert "not a Wahl chain" in capsys.readouterr().out
 
     def test_recognize_malformed(self, capsys):
-        assert main(["recognize", "2,x"]) == 2
+        # an empty entry is an error, not skipped: "4," is not read as [4]
+        for chain in ("2,x", "4,", "2,,3", ",4", ""):
+            assert main(["recognize", chain]) == 2
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and not captured.out
 
     def test_chains_atlas(self, capsys):
         assert main(["chains", "--max-p", "5", "--max-length", "8"]) == 0
@@ -128,6 +134,16 @@ class TestSmallCommands:
     def test_gram_unknown_id(self, capsys):
         rc = main(["gram", str(bundled.path("k2_4_pi2")), "ZZZ"])
         assert rc == 2
+
+    @pytest.mark.parametrize("ids", [",", "", " , ", "D5,,D6", "D5,"])
+    def test_gram_empty_id(self, capsys, ids):
+        assert main(["gram", str(bundled.path("k2_4_pi2")), ids]) == 2
+        captured = capsys.readouterr()
+        assert "empty curve id" in captured.err and not captured.out
+
+    def test_gram_duplicate_id_message(self, capsys):
+        assert main(["gram", str(bundled.path("k2_4_pi2")), "D5,D5"]) == 2
+        assert capsys.readouterr().err == "error: duplicate curve id 'D5'\n"
 
 
 class TestReportShape:

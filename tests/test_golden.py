@@ -8,12 +8,14 @@ intended change.  ``chains_p60.tsv`` is the output of
 ``blowdown chains --max-p 60 --max-length 60``.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from blowdown import bundled
 from blowdown.cli import main
+from blowdown.hjcf import wahl_family
 from blowdown.scenario import parse_scenario
 from blowdown.verify import verify
 
@@ -63,3 +65,19 @@ def test_scaled_report():
 def test_chains_atlas(capsysbinary):
     assert main(["chains", "--max-p", "60", "--max-length", "60"]) == 0
     assert capsysbinary.readouterr().out == _read("chains_p60.tsv")
+
+
+def test_chains_atlas_p250_sha256(capsysbinary):
+    assert main(["chains", "--max-p", "250", "--max-length", "250"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == (
+        "2c69bf9c220ee88e3bd8a0469d5c8ed727c4aa49672ab82441b8ffd5f26af42d")
+
+
+@pytest.mark.parametrize("max_length", [1, 2, 10])
+def test_chains_rows_match_wahl_family(capsys, max_length):
+    assert main(["chains", "--max-p", "60", "--max-length", str(max_length)]) == 0
+    rows = ["p\tq\tlength\tchain\tboundary_order"]
+    rows += [f"{w.p}\t{w.q}\t{len(c)}\t{','.join(map(str, c))}\t{w.p * w.p}"
+             for w, c in wahl_family(60) if len(c) <= max_length]
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"

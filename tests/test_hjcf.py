@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from blowdown.cli import main
 from blowdown.hjcf import (Chain, WahlParams, dual_chain, hj_eval, hj_expand,
                            tchain_children, wahl_chain, wahl_closure,
-                           wahl_family, wahl_recognize)
+                           wahl_family, wahl_recognize, wahl_texts)
 
 
 def entries(c):
@@ -244,6 +245,21 @@ class TestWahlFamily:
         assert main(["chains", "--max-p", "40", "--max-length", "1000"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == sum(phi(p) for p in range(2, 41)) == 489
+
+
+class TestWahlTexts:
+    """wahl_texts writes the chains of wahl_family as text."""
+
+    def test_matches_wahl_family(self):
+        assert list(wahl_texts(150)) == [(w.p, w.q, len(c), ",".join(map(str, c)))
+                                         for w, c in wahl_family(150)]
+
+    def test_length_and_run_bounds(self):
+        # the bounds wahl_texts's tables of entry strings and runs rely on
+        for w, chain in wahl_family(250):
+            runs = [len(list(run)) for b, run in itertools.groupby(chain) if b == 2]
+            assert len(chain) <= w.p - 1
+            assert max(runs, default=0) <= w.p - 2
 
 
 def _compositions(total, parts, minimum=2):
