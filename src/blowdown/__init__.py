@@ -10,7 +10,8 @@ from .configuration import (AdjunctionError, BlowupError, ChainSearch,
                             Configuration, Curve, InvariantSet, PointSpec,
                             adjunction_audit, blow_up, find_chains, preset,
                             run_program)
-from .cover import CoverError, SplittingDecl, check_doubling, lift_configuration
+from .cover import (CoverError, SplittingDecl, lift_configuration,
+                    pullback_violations)
 from .fundgroup import (CyclicGroup, CyclicHom, Derivation, DerivationTrace,
                         TraceStep, kill_rule, minus_one_sphere_witness,
                         pi1_after_blowdown, pushout_cyclic, replay_trace)

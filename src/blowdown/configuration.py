@@ -123,7 +123,7 @@ class PointSpec:
 
     node_of names a curve blown up at one of its own nodes (local
     multiplicity 2 there).  pairwise_local overrides the local intersection
-    number consumed between two incident curves at this point (default is
+    number consumed between two different curves at this point (default is
     the product of their local multiplicities).  new_id names the
     exceptional curve introduced by this step.
     """
@@ -141,11 +141,15 @@ class PointSpec:
             if cid in seen:
                 raise ValueError(f"curve {cid!r} listed twice in one point")
             seen.add(cid)
-        if self.node_of is not None and self.node_of in seen:
-            raise ValueError(f"{self.node_of!r} is both node_of and an incidence")
+        if self.node_of is not None:
+            if self.node_of in seen:
+                raise ValueError(f"{self.node_of!r} is both node_of and an incidence")
+            seen.add(self.node_of)
         for (a, b), v in self.pairwise_local:
             if v < 0:
                 raise ValueError(f"consumed intersection {a}.{b} must be >= 0, got {v}")
+            if a == b or a not in seen or b not in seen:
+                raise ValueError(f"consumed intersection {a}.{b} needs two curves at the point")
 
     def multiplicity(self, cid: str) -> int:
         if cid == self.node_of:
@@ -315,9 +319,6 @@ def blow_up(config: Configuration, point: PointSpec) -> Configuration:
                 pairings.pop(key, None)
             else:
                 pairings[key] = remaining
-    for key in overrides:
-        if key[0] not in touched or key[1] not in touched:
-            raise BlowupError(f"pairwise override {key} names a curve not at the point")
 
     ambient = InvariantSet.from_base(
         e=config.ambient.e + 1,

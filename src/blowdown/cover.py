@@ -3,18 +3,20 @@
 Which curves split upstairs is monodromy data that cannot be inferred from
 intersection numbers alone, so a lift is driven by a declaration: every base
 curve maps either to two disjoint copies (Split) or to one connected double
-cover (Connected), and the cover's pairing table is declared explicitly and
-validated against the pullback rule
+cover (Connected), and the cover's pairing table is declared explicitly.
+pullback_violations checks that the cover lies over the base: preimages
+shaped as _preimage_shape says, and for every base pair
 
     sum of cover pairings over the preimages of {a, b}  =  2 * (a . b).
 
 Ambient invariants double (e, sigma, K^2), the fundamental-group order
 halves, and each base blow-up lifts to exactly two cover blow-ups at the two
-preimages of its centre.
+preimages of its centre, so the same check applies after the blow-ups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -75,33 +77,24 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         raise CoverError(f"base pi1 order {base.pi1_order} is odd; no connected "
                          "double cover exists")
 
-    declared = [k for k, _ in decl.splits] + [k for k, _ in decl.connected]
-    if len(declared) != len(base.curves) or set(declared) != base.curves.keys():
-        missing = set(base.curves) - set(declared)
-        extra = set(declared) - set(base.curves)
-        raise CoverError(f"splitting declaration mismatch: missing {sorted(missing)}, "
-                         f"unknown {sorted(extra)}")
+    lifts = list(decl.splits) + [(k, (x,)) for k, x in decl.connected]
+    declared = {k for k, _ in lifts}
+    if len(lifts) != len(base.curves) or declared != base.curves.keys():
+        raise CoverError("splitting declaration mismatch: missing "
+                         f"{sorted(base.curves.keys() - declared)}, "
+                         f"unknown {sorted(declared - base.curves.keys())}")
 
     curves: dict[str, Curve] = {}
-    for base_id, (a, b) in decl.splits:
+    for base_id, preimages in lifts:
         src = base.curves[base_id]
-        for new_id in (a, b):
+        if len(preimages) == 1 and src.genus < 1:
+            raise CoverError(f"{base_id!r}: a rational curve has no connected unramified "
+                             "double cover; declare a split")
+        shape = _preimage_shape(src, len(preimages))
+        for new_id in preimages:
             if new_id in curves:
                 raise CoverError(f"cover curve id {new_id!r} reused")
-            curves[new_id] = Curve(new_id, src.self_int, src.genus, src.k_degree,
-                                   src.node_count)
-    for base_id, new_id in decl.connected:
-        src = base.curves[base_id]
-        if src.genus < 1:
-            raise CoverError(
-                f"{base_id!r}: a rational curve has no connected unramified "
-                "double cover; declare a split")
-        if new_id in curves:
-            raise CoverError(f"cover curve id {new_id!r} reused")
-        curves[new_id] = Curve(new_id, self_int=2 * src.self_int,
-                               genus=2 * src.genus - 1,
-                               k_degree=2 * src.k_degree,
-                               node_count=2 * src.node_count)
+            curves[new_id] = Curve(new_id, *shape)
 
     pairings: dict[tuple[str, str], int] = {}
     for (a, b), v in decl.pairings:  # keys already sorted
@@ -113,45 +106,49 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         if v:
             pairings[a, b] = v
 
-    # pullback sum rule for every base pair, and disjoint preimages of splits:
+    ambient = InvariantSet.derive(2 * base.ambient.e, 2 * base.ambient.sigma)
+    cover = Configuration(curves, pairings, ambient, base.pi1_order // 2)
+    problems = pullback_violations(base, cover, decl.base_of)
+    if problems:
+        raise CoverError(problems[0])
+    return cover
+
+
+def _preimage_shape(c: Curve, sheets: int) -> tuple[int, int, int, int]:
+    """(C.C, genus, K.C, nodes) of each preimage of c: c's own on either of
+    two sheets, doubled with genus 2g - 1 for a connected double cover."""
+    if sheets == 2:
+        return c.self_int, c.genus, c.k_degree, c.node_count
+    return 2 * c.self_int, 2 * c.genus - 1, 2 * c.k_degree, 2 * c.node_count
+
+
+def pullback_violations(base: Configuration, cover: Configuration,
+                        base_of: Mapping[str, str]) -> list[str]:
+    """Where the cover fails to lie over the base (cover id -> base id in
+    base_of); empty means it lies over.  Pair problems come first, in sorted
+    order of the base pair, then curve problems in sorted cover-id order."""
     # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
-    # the pairing between the two preimages of a.  Only pairs with a base or
-    # a cover pairing can fail; the first failure in sorted order is raised.
-    base_of = decl.base_of
+    # the pairing between the two preimages of a; only pairs with a pairing can fail
     excess = {key: -2 * v for key, v in base.pairings.items()
               if key[0] in base.curves and key[1] in base.curves}
-    for (x, y), v in pairings.items():
+    for (x, y), v in cover.pairings.items():
         a, b = base_of[x], base_of[y]
-        if a == b:
-            key = (a, "")
-        else:
-            key = (a, b) if a < b else (b, a)
+        key = (a, "") if a == b else (a, b) if a < b else (b, a)
         excess[key] = excess.get(key, 0) + v
-    bad = [key for key, d in excess.items() if d]
-    if bad:
-        a, b = min(bad)
-        if not b:
-            raise CoverError(
-                f"the two preimages of split curve {a!r} must be disjoint "
-                "(their self-intersections already account for the pullback)")
-        want = 2 * base.pairing(a, b)
-        raise CoverError(
-            f"pullback pairing sum violated for {a}.{b}: cover total "
-            f"{want + excess[(a, b)]}, expected {want}")
-
-    ambient = InvariantSet.derive(2 * base.ambient.e, 2 * base.ambient.sigma)
-    return Configuration(curves, pairings, ambient, base.pi1_order // 2)
-
-
-def check_doubling(base: Configuration, cover: Configuration) -> list[str]:
-    """Verify the invariant-doubling identity; empty list means clean."""
     problems = []
-    for name in ("e", "sigma", "k2"):
-        b, c = getattr(base.ambient, name), getattr(cover.ambient, name)
-        if c != 2 * b:
-            problems.append(f"{name}: cover {c} != 2 * base {b}")
-    if base.pi1_order is not None and cover.pi1_order is not None:
-        if base.pi1_order != 2 * cover.pi1_order:
-            problems.append(
-                f"pi1 order: base {base.pi1_order} != 2 * cover {cover.pi1_order}")
+    for a, b in sorted(key for key, d in excess.items() if d):
+        if not b:
+            problems.append(f"the two preimages of split curve {a!r} must be disjoint "
+                            "(their self-intersections already account for the pullback)")
+        else:
+            want = 2 * base.pairing(a, b)
+            problems.append(f"pullback pairing sum violated for {a}.{b}: cover total "
+                            f"{want + excess[a, b]}, expected {want}")
+
+    sheets = Counter(base_of.values())
+    shape = {a: _preimage_shape(c, sheets[a]) for a, c in base.curves.items()}
+    for x in sorted(x for x, c in cover.curves.items()
+                    if (c.self_int, c.genus, c.k_degree, c.node_count) != shape[base_of[x]]):
+        problems.append(f"{x} over {base_of[x]}: (C.C, genus, K.C, nodes) "
+                        f"{_preimage_shape(cover.curves[x], 2)}, expected {shape[base_of[x]]}")
     return problems

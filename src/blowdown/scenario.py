@@ -9,8 +9,9 @@ One statement per line, ``#`` comments.  GRAMMAR below is the grammar: one
 table per section, one row per statement.  Statements marked (once) may
 appear at most once; so may a curve id (which the preset must not declare
 either), a pairing of the same two curves (in either order), the lift
-of a base curve and a cover curve id in the lifts.  A repeated statement is
-an error at its line that names the line of the first one::
+of a base curve or blow-up and a cover curve id in the lifts.  A repeated
+statement is an error at its line that names the line of the first one; a
+base blow-up with no lift in [cover] is an error at its own line::
 
     schema = 1                       # (once), before any section
     [meta]
@@ -28,7 +29,7 @@ an error at its line that names the line of the first one::
     E2 = point S1, F                 # transverse intersection point
     E3 = point S1*2                  # local multiplicity (needs a matching node)
     E4 = point                       # point on no curve
-    E5 = point S1, F consume S1.F=2  # override consumed local intersection (>= 0)
+    E5 = point S1, F consume S1.F=2  # override the local S1.F consumed (>= 0; both at the point)
     [chains]
     chain = 2,2,9,2,2,2,2,4 expect 19,13
     [surgery]
@@ -40,7 +41,7 @@ an error at its line that names the line of the first one::
     split F -> F1, F2
     connected X -> Xbar
     pairing F1.T1 = 1
-    blowup E1 -> C1 = node F1 ; C2 = node F2
+    blowup E1 -> C1 = node F1 ; C2 = node F2   # (once) per [blowups] step, each lifted
     chain = 6,2,2
     expect e = 14                    # (once) each: the [surgery] keys and pi1_order
     gram = Da1, Da2 expect nonzero   # (once)
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .configuration import Curve, PointSpec, preset
@@ -72,12 +74,17 @@ SURGERY_KEYS = ("e", "sigma", "K2", "b2", "b2_plus", "b2_minus")
 @dataclass(frozen=True)
 class CoverSection:
     decl: SplittingDecl
-    blowups: tuple[tuple[str, PointSpec, PointSpec], ...]  # (base step id, two lifts)
+    blowups: tuple[tuple[str, PointSpec, PointSpec], ...]  # (base step id, two lifts), base order
     chains: tuple[Chain, ...]
     expect: tuple[tuple[str, int], ...]
     expect_pi1_order: Optional[int]
     gram_ids: tuple[str, ...]
     gram_expect_nonzero: bool
+
+    @cached_property
+    def base_of(self) -> dict[str, str]:
+        """The base curve under each cover curve, lifted blow-ups included (read only)."""
+        return {**self.decl.base_of, **{x.new_id: b for b, *pair in self.blowups for x in pair}}
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,7 @@ class _Parse:
         self.splits: dict[str, tuple[str, str]] = {}
         self.connected: dict[str, str] = {}
         self.cover_pairings: dict[tuple[str, str], int] = {}
-        self.cover_blowups: list[tuple[str, PointSpec, PointSpec]] = []
-        self.cover_blowup_lines: list[int] = []
+        self.cover_blowups: dict[str, tuple[PointSpec, PointSpec]] = {}  # base step -> lifts
         self.cover_chains: list[Chain] = []
         self.cover_expect: dict[str, int] = {}
         self.gram: Optional[tuple[list[str], bool]] = None
@@ -277,9 +283,9 @@ class _Parse:
 
     def cover_blowup(self, lineno, m):
         step, id1, spec1, id2, spec2 = m.group("step", "id1", "spec1", "id2", "spec2")
-        self.cover_blowups.append((step, _parse_pointspec(lineno, id1, spec1),
-                                   _parse_pointspec(lineno, id2, spec2)))
-        self.cover_blowup_lines.append(lineno)
+        self.once(lineno, ("lift of step", step))
+        self.cover_blowups[step] = (_parse_pointspec(lineno, id1, spec1),
+                                    _parse_pointspec(lineno, id2, spec2))
 
 
 def _store(attr: str, convert):
@@ -444,7 +450,8 @@ def parse_scenario(text: str) -> Scenario:
             # the handlers already sorted each pairing key, so no build()
             decl=SplittingDecl(tuple(state.splits.items()), tuple(state.connected.items()),
                                tuple(state.cover_pairings.items())),
-            blowups=tuple(state.cover_blowups),
+            blowups=tuple((st.new_id, *state.cover_blowups[st.new_id])
+                          for st in state.blowups if st.new_id in state.cover_blowups),
             chains=tuple(state.cover_chains),
             expect=tuple(state.cover_expect.items()),
             expect_pi1_order=expect_pi1,
@@ -497,10 +504,16 @@ def _validate_references(s: Scenario, preset_ids: tuple[str, ...], state: _Parse
                     raise ScenarioError(lines["cover pairing", x, y], "cover pairing "
                                         f"references undeclared cover curve {cid!r}")
         base_steps = {step.new_id for step in s.blowups}
-        for (base_id, first, second), lineno in zip(s.cover.blowups, state.cover_blowup_lines):
+        for base_id in state.cover_blowups:
             if base_id not in base_steps:
-                raise ScenarioError(lineno, f"cover blow-up lifts unknown base step {base_id!r}")
-            for step in (first, second):
+                raise ScenarioError(lines["lift of step", base_id], f"cover blow-up lifts "
+                                    f"unknown base step {base_id!r}")
+        for step, lineno in zip(s.blowups, state.blowup_lines):
+            if step.new_id not in state.cover_blowups:
+                raise ScenarioError(lineno, f"blow-up {step.new_id} has no lift in [cover]")
+        for base_id, *lifts in s.cover.blowups:  # in base order, as verify runs them
+            lineno = lines["lift of step", base_id]
+            for step in lifts:
                 for cid in step.touched():
                     if cid not in cover_known:
                         raise ScenarioError(lineno, f"cover blow-up {step.new_id} references "

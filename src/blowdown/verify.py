@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .configuration import (BlowupError, Configuration, InvariantSet,
                             adjunction_audit, find_chains, preset, run_program,
                             set_pairing)
-from .cover import CoverError, check_doubling, lift_configuration
+from .cover import CoverError, lift_configuration, pullback_violations
 from .fundgroup import (CyclicGroup, minus_one_sphere_witness,
                         pi1_after_blowdown)
 from .lattice import det_exact, gram
@@ -158,8 +158,7 @@ def _preimage_error(s: Scenario, base_chains: Sequence[ChainFacts],
     A cover curve lies over the base curve of its split or connected line,
     a cover blow-up over the base step it lifts; chains match up to reversal.
     """
-    base_of = dict(s.cover.decl.base_of)
-    base_of.update((step.new_id, bid) for bid, *lifts in s.cover.blowups for step in lifts)
+    base_of = s.cover.base_of
 
     def unoriented(ids) -> tuple[str, ...]:
         ids = tuple(ids)
@@ -183,24 +182,13 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
     except CoverError as err:
         report.add("cover", FAIL, error=f"cover: {err}")
         return
-    doubling = check_doubling(base, lifted)
-
-    # lift plan: exactly two cover steps per base step, in base order
-    base_order = [step.new_id for step in s.blowups]
-    plan = {bid: (first, second) for bid, first, second in cov.blowups}
-    if sorted(plan) != sorted(base_order):
-        report.add("cover", FAIL,
-                   error="cover: lift plan must cover each base step exactly once",
-                   doubling_violations=doubling)
-        return
-    steps = [step for bid in base_order for step in plan[bid]]
+    steps = [step for _, *lifts in cov.blowups for step in lifts]
     try:
         cover_final = run_program(lifted, steps)
     except BlowupError as err:
-        report.add("cover", FAIL, error=f"cover: {err}",
-                   doubling_violations=doubling)
+        report.add("cover", FAIL, error=f"cover: {err}")
         return
-    doubling += check_doubling(final, cover_final)
+    doubling = pullback_violations(final, cover_final, cov.base_of)
     violations = adjunction_audit(cover_final)
 
     payload: dict = {

@@ -67,6 +67,23 @@ class TestVerifyCommand:
         # the JSON report has no width to read
         assert main(["verify", str(bundled.path("k2_4_pi2")), "--format", "json"]) == 0
 
+    @pytest.mark.parametrize("name, old, consume", [
+        ("k2_4_pi2", "k6 = point S2, F", "S2.S2=1"),  # a curve with itself
+        ("k2_4_pi2", "k6 = point S2, F", "S2.D1=0"),  # D1 is not at the point
+        ("cover_b2plus3", "E2a = point S1a, F2c", "S1a.S1a=1"),
+        ("cover_b2plus3", "E2a = point S1a, F2c", "S1a.Da1=0"),
+    ])
+    def test_consume_off_the_point_exit_two(self, tmp_path, capsys, name, old, consume):
+        text = bundled.text(name)
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if old in line)
+        p = tmp_path / "consume.scn"
+        p.write_text(text.replace(old, f"{old} consume {consume}"))
+        rc = main(["verify", str(p), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"line {lineno}: consumed intersection " in err
+        assert "needs two curves at the point" in err
+
     def test_strict_flags_missing_expectations(self, tmp_path):
         p = tmp_path / "bare.scn"
         p.write_text("schema = 1\n[surface]\npreset = enriques_kondo\n")

@@ -1,11 +1,15 @@
+import json
+import random
 import re
 
 import pytest
 
 from blowdown import bundled
-from blowdown.configuration import Configuration, Curve, InvariantSet, preset
-from blowdown.cover import (CoverError, SplittingDecl, check_doubling,
-                            lift_configuration)
+from blowdown.cli import main
+from blowdown.configuration import (Configuration, Curve, InvariantSet, PointSpec,
+                                    preset, random_program, run_program)
+from blowdown.cover import (CoverError, SplittingDecl, lift_configuration,
+                            pullback_violations)
 from blowdown.scenario import parse_scenario
 from blowdown.surgery import ChainFacts
 from blowdown.verify import _preimage_error, verify
@@ -30,11 +34,12 @@ class TestLift:
         pairs = {}
         pairs.update(cycle_pairs("a"))
         pairs.update(cycle_pairs("b"))
-        lifted = lift_configuration(base, full_split_decl(base, pairs))
+        decl = full_split_decl(base, pairs)
+        lifted = lift_configuration(base, decl)
         assert (lifted.ambient.e, lifted.ambient.sigma, lifted.ambient.k2) == (24, -16, 0)
         assert lifted.ambient.pg == 1
         assert lifted.pi1_order == 1
-        assert check_doubling(base, lifted) == []
+        assert pullback_violations(base, lifted, decl.base_of) == []
 
     def test_matches_k3_preset_ambient(self):
         base = preset("enriques_kondo")
@@ -171,3 +176,94 @@ class TestCoverPi1:
             "cover: base chain [E7] has 1 preimage chains, not 2"
         assert _preimage_error(s, base, _facts(*lifts, ("S1a",))) == \
             "cover: 1 cover chains lie over no base chain"
+
+
+def _verify_text(tmp_path, capsys, text):
+    """(exit code, stdout, stderr) of verifying a scenario document as JSON."""
+    p = tmp_path / "variant.scn"
+    p.write_text(text)
+    rc = main(["verify", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _line_of(text, prefix):
+    return next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(prefix))
+
+
+class TestLiesOver:
+    """The blown-up cover must lie over the blown-up base."""
+
+    LIFT_E12 = "blowup E12 -> E12a = point Da9 ; E12b = point Db9"
+
+    @pytest.mark.parametrize("name, old, new, named", [
+        # a point on no curve, where the base step is on D9
+        ("cover_b2plus3", "E11b = point Db9", "E11b = point", "for D9.E11:"),
+        # both lifts of E12 on Da9: Da9.Da9 = -6 over D9.D9 = -5
+        ("cover_b2plus3", "E12b = point Db9", "E12b = point Da9", "Da9 over D9:"),
+        # a free point in place of the second node of F
+        ("cover_k3", "E1b = node F2c", "E1b = point", "for E1.F:"),
+    ])
+    def test_misplaced_lift_fails(self, tmp_path, capsys, name, old, new, named):
+        text = bundled.text(name)
+        assert old in text
+        rc, out, _ = _verify_text(tmp_path, capsys, text.replace(old, new))
+        cover = json.loads(out)["sections"]["cover"]
+        assert rc == 1 and cover["status"] == "fail"
+        assert any(named in v for v in cover["doubling_violations"]), cover["doubling_violations"]
+
+    def test_step_lifted_twice_exit_two(self, tmp_path, capsys):
+        text = bundled.text("cover_b2plus3").replace(
+            self.LIFT_E12, self.LIFT_E12 + "\nblowup E12 -> E12c = point Da9 ; E12d = point Db9")
+        first = _line_of(text, self.LIFT_E12)
+        rc, out, err = _verify_text(tmp_path, capsys, text)
+        assert rc == 2 and out == ""
+        assert f"line {first + 1}: lift of step E12 repeated; first given at line {first}" in err
+
+    def test_step_without_lift_exit_two(self, tmp_path, capsys):
+        text = bundled.text("cover_b2plus3").replace(self.LIFT_E12 + "\n", "")
+        rc, out, err = _verify_text(tmp_path, capsys, text)
+        assert rc == 2 and out == ""
+        assert f"line {_line_of(text, 'E12 = ')}: blow-up E12 has no lift in [cover]" in err
+
+
+def _on_sheet(step, s, new_id=None):
+    """The lift of a base blow-up to sheet s of a split cover that appends s to each id."""
+    return PointSpec(new_id or step.new_id + s, tuple((c + s, m) for c, m in step.incidences),
+                     step.node_of and step.node_of + s,
+                     tuple(((a + s, b + s), v) for (a, b), v in step.pairwise_local))
+
+
+class TestLiftCommutesWithBlowup:
+    """Blowing up then comparing equals lifting then blowing up each sheet."""
+
+    @staticmethod
+    def lift(base, plan, steps):
+        """The cover of base run through plan, and the cover-to-base map."""
+        decl = SplittingDecl.build(
+            {c: (c + "a", c + "b") for c in base.curves},
+            pairings={(a + s, b + s): v for (a, b), v in base.pairings.items() for s in "ab"})
+        base_of = {**decl.base_of, **{st.new_id + s: st.new_id for st in steps for s in "ab"}}
+        return run_program(lift_configuration(base, decl), plan), base_of
+
+    def test_random_programs(self):
+        moved = 0
+        for seed in range(200):
+            base, steps = random_program(random.Random(seed))
+            final = run_program(base, steps)
+            plan = [_on_sheet(st, s) for st in steps for s in "ab"]
+            cover, base_of = self.lift(base, plan, steps)
+            assert pullback_violations(final, cover, base_of) == [], seed
+            assert (cover.ambient.e, cover.ambient.sigma) == \
+                (2 * final.ambient.e, 2 * final.ambient.sigma)
+            # the program up to its first step on one curve, whose b-lift is
+            # moved onto sheet a (later steps could need it on sheet b)
+            for i, st in enumerate(steps):
+                if len(st.incidences) == 1 and st.node_of is None:
+                    wrong = plan[:2 * i + 1] + [_on_sheet(st, "a", new_id=st.new_id + "b")]
+                    cover, base_of = self.lift(base, wrong, steps[:i + 1])
+                    assert pullback_violations(run_program(base, steps[:i + 1]), cover,
+                                               base_of), (seed, st)
+                    moved += 1
+                    break
+        assert moved >= 50
