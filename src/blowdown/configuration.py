@@ -68,48 +68,39 @@ class Curve:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """(e, sigma, K2, p_g, q, b2, b2+, b2-) with the b_1 = 0 consistency relations."""
+    """The invariants of a surface with b_1 = 0, stored as e and sigma.
+
+    The rest are identities in e and sigma, read off below.  A value exists
+    only when b2 + sigma is even, b2+ is odd and both b2 parts are >= 0.
+    """
 
     e: int
     sigma: int
-    k2: int
-    pg: int
-    q: int
-    b2: int
-    b2_plus: int
-    b2_minus: int
+
+    def __post_init__(self):
+        if (self.e - 2 + self.sigma) % 2 != 0:
+            raise ValueError(f"b2 + sigma must be even, got e={self.e}, sigma={self.sigma}")
+        if self.b2_plus < 0 or self.b2_minus < 0:
+            raise ValueError(f"negative b2 part: e={self.e}, sigma={self.sigma} give "
+                             f"b2+ = {self.b2_plus}, b2- = {self.b2_minus}")
+        if self.b2_plus % 2 == 0:
+            raise ValueError(f"b2+ = {self.b2_plus} is even, so b2+ = 2 p_g + 1 fails")
 
     @classmethod
     def from_base(cls, e: int, sigma: int, pg: int, q: int = 0) -> "InvariantSet":
-        b2 = e - 2
-        if (b2 + sigma) % 2 != 0:
-            raise ValueError(f"b2 + sigma must be even, got e={e}, sigma={sigma}")
-        b2_plus = (b2 + sigma) // 2
-        b2_minus = (b2 - sigma) // 2
-        inv = cls(e=e, sigma=sigma, k2=2 * e + 3 * sigma, pg=pg, q=q,
-                  b2=b2, b2_plus=b2_plus, b2_minus=b2_minus)
-        inv.validate()
+        """The invariants of e and sigma, checked against the declared p_g and q."""
+        inv = cls(e, sigma)
+        if (pg, q) != (inv.pg, inv.q):
+            raise ValueError(f"e={e}, sigma={sigma} give p_g = {inv.pg} and q = 0, "
+                             f"not p_g = {pg} and q = {q}")
         return inv
 
-    @classmethod
-    def derive(cls, e: int, sigma: int) -> "InvariantSet":
-        """Fill p_g from b2+ = 2 p_g + 1 (b_1 = 0, q = 0 scope)."""
-        b2_plus = (e - 2 + sigma) // 2
-        return cls.from_base(e, sigma, pg=(b2_plus - 1) // 2, q=0)
-
-    def validate(self):
-        if self.k2 != 2 * self.e + 3 * self.sigma:
-            raise ValueError(f"K2 = 2e + 3sigma violated: {self}")
-        if self.b2 != self.e - 2:
-            raise ValueError(f"b2 = e - 2 violated: {self}")
-        if self.b2_plus + self.b2_minus != self.b2 or self.b2_plus - self.b2_minus != self.sigma:
-            raise ValueError(f"b2 split inconsistent: {self}")
-        if self.b2_plus < 0 or self.b2_minus < 0:
-            raise ValueError(f"negative b2 part: {self}")
-        if self.pg < 0 or self.q < 0:
-            raise ValueError(f"negative pg or q: {self}")
-        if self.b2_plus != 2 * self.pg + 1:
-            raise ValueError(f"b2+ = 2 p_g + 1 violated: {self}")
+    k2 = property(lambda self: 2 * self.e + 3 * self.sigma)
+    b2 = property(lambda self: self.e - 2)
+    b2_plus = property(lambda self: (self.e - 2 + self.sigma) // 2)
+    b2_minus = property(lambda self: (self.e - 2 - self.sigma) // 2)
+    pg = property(lambda self: (self.b2_plus - 1) // 2)  # b2+ = 2 p_g + 1
+    q = property(lambda self: 0)  # b_1 = 2q = 0
 
     def as_dict(self) -> dict:
         return {"e": self.e, "sigma": self.sigma, "K2": self.k2, "pg": self.pg,
@@ -145,11 +136,15 @@ class PointSpec:
             if self.node_of in seen:
                 raise ValueError(f"{self.node_of!r} is both node_of and an incidence")
             seen.add(self.node_of)
+        pairs = set()
         for (a, b), v in self.pairwise_local:
             if v < 0:
                 raise ValueError(f"consumed intersection {a}.{b} must be >= 0, got {v}")
             if a == b or a not in seen or b not in seen:
                 raise ValueError(f"consumed intersection {a}.{b} needs two curves at the point")
+            if pair_key(a, b) in pairs:
+                raise ValueError(f"consumed intersection {a}.{b} named twice at the point")
+            pairs.add(pair_key(a, b))
 
     def multiplicity(self, cid: str) -> int:
         if cid == self.node_of:
@@ -320,12 +315,7 @@ def blow_up(config: Configuration, point: PointSpec) -> Configuration:
             else:
                 pairings[key] = remaining
 
-    ambient = InvariantSet.from_base(
-        e=config.ambient.e + 1,
-        sigma=config.ambient.sigma - 1,
-        pg=config.ambient.pg,
-        q=config.ambient.q,
-    )
+    ambient = InvariantSet(config.ambient.e + 1, config.ambient.sigma - 1)
     return Configuration(curves, pairings, ambient, config.pi1_order)
 
 
@@ -351,10 +341,6 @@ def adjunction_audit(config: Configuration) -> list[str]:
             problems.append(f"pairing {a}.{b} negative ({pairings[a, b]})")
         if a not in curves or b not in curves:
             problems.append(f"pairing {a}.{b} references a missing curve")
-    try:
-        config.ambient.validate()
-    except ValueError as err:
-        problems.append(f"ambient invariants: {err}")
     return problems
 
 

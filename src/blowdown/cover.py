@@ -106,7 +106,7 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         if v:
             pairings[a, b] = v
 
-    ambient = InvariantSet.derive(2 * base.ambient.e, 2 * base.ambient.sigma)
+    ambient = InvariantSet(2 * base.ambient.e, 2 * base.ambient.sigma)
     cover = Configuration(curves, pairings, ambient, base.pi1_order // 2)
     problems = pullback_violations(base, cover, decl.base_of)
     if problems:

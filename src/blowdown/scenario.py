@@ -19,7 +19,7 @@ base blow-up with no lift in [cover] is an error at its own line::
     description = free text
     tags = comma, separated
     [surface]                        # a preset or explicit invariants, not both
-    preset = enriques_kondo          # (once) each: preset, e, sigma, pg, q, pi1_order
+    preset = enriques_kondo          # (once) each: preset, e, sigma, pg, q (0), pi1_order (>= 1)
     [curves]
     X = -2 0 0 0 auxiliary           # self_int genus k_degree node_count [ignored words]
     [pairings]
@@ -44,7 +44,7 @@ base blow-up with no lift in [cover] is an error at its own line::
     blowup E1 -> C1 = node F1 ; C2 = node F2   # (once) per [blowups] step, each lifted
     chain = 6,2,2
     expect e = 14                    # (once) each: the [surgery] keys and pi1_order
-    gram = Da1, Da2 expect nonzero   # (once)
+    gram = Da1, Da2 expect nonzero   # (once), each id at most once
 """
 
 from __future__ import annotations
@@ -232,6 +232,11 @@ class _Parse:
                 lineno, "[surface] takes a preset or explicit invariants, not both")
         if key != "preset" and not (key == "pi1_order" and value == "unknown"):
             value = _parse_int(lineno, value, key)
+            if key == "q" and value != 0:
+                raise ScenarioError(lineno, f"q must be 0 (the invariants assume b1 = 0), "
+                                            f"got {value}")
+            if key == "pi1_order" and value < 1:
+                raise ScenarioError(lineno, f"pi1_order must be >= 1, got {value}")
         self.surface[key] = value
 
     def curve(self, lineno, m):
@@ -522,7 +527,10 @@ def _validate_references(s: Scenario, preset_ids: tuple[str, ...], state: _Parse
                     raise ScenarioError(lineno, f"cover blow-up id {step.new_id!r} collides "
                                                 "with an existing cover curve")
                 cover_known.add(step.new_id)
-        for cid in s.cover.gram_ids:
+        for k, cid in enumerate(s.cover.gram_ids):
             if cid not in cover_known:
                 raise ScenarioError(lines["[cover]", "gram"],
                                     f"gram list references undeclared cover curve {cid!r}")
+            if cid in s.cover.gram_ids[:k]:
+                raise ScenarioError(lines["[cover]", "gram"],
+                                    f"gram list names cover curve {cid!r} twice")

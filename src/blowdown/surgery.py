@@ -28,7 +28,6 @@ class SurgeryResult:
     before: InvariantSet
     after: InvariantSet
     pieces: tuple[tuple[WahlParams, int], ...]  # (params, chain length)
-    removed_curve_ids: tuple[str, ...]
 
     @property
     def total_length(self) -> int:
@@ -125,7 +124,8 @@ def rational_blowdown(config: Configuration,
 
     The facts come from chain_facts on this configuration.  Each chain must
     be Wahl-recognizable and negative definite, and the chains must be
-    pairwise disjoint with no pairings between them.
+    pairwise disjoint with no pairings between them, of total length at
+    most b2- (the blow-down removes that much of the negative part).
     """
     member: dict[str, int] = {}  # curve id -> index of its chain
     for k, chain in enumerate(chains):
@@ -147,16 +147,10 @@ def rational_blowdown(config: Configuration,
     pieces = tuple((chain.params, len(chain.ids)) for chain in chains)
     total = sum(l for _, l in pieces)
     before = config.ambient
-    after = InvariantSet.from_base(
-        e=before.e - total,
-        sigma=before.sigma + total,
-        pg=(before.b2_plus - 1) // 2,
-        q=before.q,
-    )
-    if after.b2_plus != before.b2_plus:
-        raise SurgeryError("b2+ changed under surgery; bookkeeping bug")
-    removed = tuple(cid for chain in chains for cid in chain.ids)
-    return SurgeryResult(before, after, pieces, removed)
+    if total > before.b2_minus:
+        raise SurgeryError(f"chains of total length {total} exceed b2- = {before.b2_minus}")
+    after = InvariantSet(before.e - total, before.sigma + total)
+    return SurgeryResult(before, after, pieces)
 
 
 def smoothing_ledger(result: SurgeryResult) -> list[Assumption]:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from blowdown.cli import main
 from blowdown.report import Report
 from blowdown.scenario import parse_scenario
 from blowdown.verify import verify
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestVerifyCommand:
@@ -83,6 +87,22 @@ class TestVerifyCommand:
         assert rc == 2 and out == ""
         assert f"line {lineno}: consumed intersection " in err
         assert "needs two curves at the point" in err
+
+    @pytest.mark.parametrize("name, old, consume", [
+        ("k2_4_pi2", "k6 = point S2, F", "S2.F=0, F.S2=1"),  # contradicting values
+        ("k2_4_pi2", "k6 = point S2, F", "F.S2=1, F.S2=1"),
+        ("cover_b2plus3", "E2a = point S1a, F2c", "F2c.S1a=1, S1a.F2c=0"),
+    ])
+    def test_consume_pair_named_twice_exit_two(self, tmp_path, capsys, name, old, consume):
+        text = bundled.text(name)
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if old in line)
+        p = tmp_path / "consume.scn"
+        p.write_text(text.replace(old, f"{old} consume {consume}"))
+        rc = main(["verify", str(p), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"line {lineno}: consumed intersection " in err
+        assert "named twice at the point" in err
 
     def test_strict_flags_missing_expectations(self, tmp_path):
         p = tmp_path / "bare.scn"
@@ -161,6 +181,90 @@ class TestSmallCommands:
     def test_gram_duplicate_id_message(self, capsys):
         assert main(["gram", str(bundled.path("k2_4_pi2")), "D5,D5"]) == 2
         assert capsys.readouterr().err == "error: duplicate curve id 'D5'\n"
+
+
+def _bare_chain(length: int, cover: bool) -> str:
+    """An explicit surface with e = 12, sigma = -8 (b2- = 9) that declares
+    the Wahl chain C(length + 1, 1) as curves C1..C<length>.  Without cover,
+    [chains] blows it down.  With cover, every curve splits, the double
+    cover (b2- = 19) holds two copies and its [cover] chain blows one down."""
+    ids = [f"C{i}" for i in range(1, length + 1)]
+    entries = [length + 3] + [2] * (length - 1)
+    lines = ["schema = 1", "[surface]", "e = 12", "sigma = -8", "pg = 0", "q = 0",
+             "pi1_order = 2", "[curves]"]
+    lines += [f"{cid} = {-b} 0 {b - 2} 0" for cid, b in zip(ids, entries)]
+    lines += ["[pairings]"] + [f"{a}.{b} = 1" for a, b in zip(ids, ids[1:])]
+    chain = f"chain = {','.join(map(str, entries))}"
+    if not cover:
+        return "\n".join(lines + ["[chains]", chain]) + "\n"
+    lines += ["[cover]"] + [f"split {cid} -> {cid}a, {cid}b" for cid in ids]
+    lines += [f"pairing {a}{s}.{b}{s} = 1" for a, b in zip(ids, ids[1:]) for s in "ab"]
+    return "\n".join(lines + [chain]) + "\n"
+
+
+def _verify_text(tmp_path, text: str):
+    """The exit code of verify --format json on text; capsys holds the output."""
+    p = tmp_path / "probe.scn"
+    p.write_text(text)
+    return main(["verify", str(p), "--format", "json"])
+
+
+class TestLedgerInput:
+    """Input the b1 = 0 invariant ledger cannot hold ends in an exit code."""
+
+    def test_chains_longer_than_b2_minus_fail_the_surgery(self, tmp_path, capsys):
+        assert _verify_text(tmp_path, _bare_chain(11, cover=False)) == 1
+        surgery = json.loads(capsys.readouterr().out)["sections"]["surgery"]
+        assert surgery["status"] == "fail"
+        assert surgery["error"] == "chains of total length 11 exceed b2- = 9"
+
+    def test_cover_chains_longer_than_b2_minus_fail_the_cover(self, tmp_path, capsys):
+        assert _verify_text(tmp_path, _bare_chain(20, cover=True)) == 1
+        cover = json.loads(capsys.readouterr().out)["sections"]["cover"]
+        assert cover["status"] == "fail"
+        assert cover["surgery_error"] == "chains of total length 20 exceed b2- = 19"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("q = 0", "q = 1", "q must be 0 (the invariants assume b1 = 0), got 1"),
+        ("pi1_order = 2", "pi1_order = 0", "pi1_order must be >= 1, got 0"),
+        ("pi1_order = 2", "pi1_order = -2", "pi1_order must be >= 1, got -2"),
+    ])
+    def test_surface_value_out_of_range_exit_two(self, tmp_path, capsys, old, new, message):
+        text = (GOLDEN / "scaled_5.scn").read_text()
+        lineno = text.splitlines().index(old) + 1
+        assert _verify_text(tmp_path, text.replace(old, new)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"line {lineno}: {message}\n")
+
+    def test_repeated_gram_id_exit_two(self, tmp_path, capsys):
+        text = bundled.text("cover_k3")
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                      if line.startswith("gram = "))
+        assert _verify_text(tmp_path, text.replace("gram = Da1, Da2,", "gram = Da1, Da1,")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"line {lineno}: gram list names cover curve 'Da1' twice\n")
+
+    def test_integer_statements_at_extremes_end_in_an_exit_code(self, tmp_path, capsys):
+        """Each 'key = n' of [surface] in scaled_5 and of [pi1] in the bundled
+        scenarios, set to 0, -2 and 10**6, is verified without a traceback."""
+        sources = [((GOLDEN / "scaled_5.scn").read_text(), "[surface]")]
+        sources += [(bundled.text(name), "[pi1]") for name in bundled.names()]
+        tried = 0
+        for text, wanted in sources:
+            lines, section = text.splitlines(), None
+            for i, line in enumerate(lines):
+                section = line.strip() if line.startswith("[") else section
+                m = re.fullmatch(r"(\w+)\s*=\s*-?\d+\s*", line)
+                if section != wanted or m is None:
+                    continue
+                for value in (0, -2, 10**6):
+                    mutated = lines[:i] + [f"{m[1]} = {value}"] + lines[i + 1:]
+                    rc = _verify_text(tmp_path, "\n".join(mutated) + "\n")
+                    assert rc in (0, 1, 2), (wanted, m[1], value)
+                    capsys.readouterr()
+                    tried += 1
+        assert tried == 3 * (5 + 3)  # e, sigma, pg, q, pi1_order; three expect_order
 
 
 class TestReportShape:

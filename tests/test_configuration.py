@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -25,6 +26,29 @@ class TestInvariantSet:
     def test_rejects_odd_parity(self):
         with pytest.raises(ValueError):
             InvariantSet.from_base(e=12, sigma=-7, pg=0, q=0)
+
+    def test_stores_e_and_sigma_only(self):
+        assert [f.name for f in dataclasses.fields(InvariantSet)] == ["e", "sigma"]
+        inv = InvariantSet(12, -8)
+        assert inv == InvariantSet.from_base(e=12, sigma=-8, pg=0)
+        assert inv.as_dict() == {"e": 12, "sigma": -8, "K2": 0, "pg": 0, "q": 0,
+                                 "b2": 10, "b2_plus": 1, "b2_minus": 9}
+        with pytest.raises(AttributeError):
+            inv.k2 = 1
+
+    @pytest.mark.parametrize("e, sigma, message", [
+        (12, -7, r"b2 \+ sigma must be even"),
+        (14, -8, r"b2\+ = 2 is even"),
+        (1, 3, "negative b2 part"),  # b2- = -2
+        (-4, 0, "negative b2 part"),  # b2+ = -3
+    ])
+    def test_cannot_be_built_invalid(self, e, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            InvariantSet(e, sigma)
+
+    def test_from_base_rejects_q(self):
+        with pytest.raises(ValueError, match="give p_g = 0 and q = 0, not p_g = 0 and q = 1"):
+            InvariantSet.from_base(e=12, sigma=-8, pg=0, q=1)
 
 
 class TestPresets:

@@ -76,6 +76,15 @@ class TestRationalBlowdown:
         with pytest.raises(SurgeryError, match="disjoint"):
             rational_blowdown(cfg, chain_facts(cfg, [ids1, ids2]))
 
+    def test_rejects_chains_longer_than_b2_minus(self):
+        # e = 12, sigma = -8 has b2- = 9: C(10,1) (length 9) fits, C(12,1) does not
+        cfg, ids = config_with_chain(wahl_chain(10, 1).entries, e=12, sigma=-8)
+        after = rational_blowdown(cfg, chain_facts(cfg, [ids])).after
+        assert (after.e, after.sigma, after.b2_plus, after.b2_minus) == (3, 1, 1, 0)
+        cfg, ids = config_with_chain(wahl_chain(12, 1).entries, e=12, sigma=-8)
+        with pytest.raises(SurgeryError, match=r"^chains of total length 11 exceed b2- = 9$"):
+            rational_blowdown(cfg, chain_facts(cfg, [ids]))
+
     def test_rejects_indefinite(self):
         # C(3,1) = [5,2] with its two curves meeting 4 times: det 10 - 16 < 0
         cfg, ids = config_with_chain(wahl_chain(3, 1).entries)
