@@ -101,11 +101,9 @@ def _cmd_chains(args) -> int:
         if value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    rows = ["p\tq\tlength\tchain\tboundary_order\n"]
-    for p, q, length, text in wahl_texts(max_p):
-        if length <= max_length:
-            rows.append(f"{p}\t{q}\t{length}\t{text}\t{p * p}\n")
-    sys.stdout.write("".join(rows))
+    sys.stdout.write("p\tq\tlength\tchain\tboundary_order\n")
+    sys.stdout.writelines(f"{p}\t{q}\t{length}\t{text}\t{p * p}\n"
+                          for p, q, length, text in wahl_texts(max_p, max_length))
     return EXIT_PASS
 
 

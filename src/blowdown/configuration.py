@@ -274,12 +274,8 @@ def blow_up(config: Configuration, point: PointSpec) -> Configuration:
         m = point.multiplicity(cid)
         old = curves[cid]
         node_fix = 1 if cid == point.node_of else 0
-        curves[cid] = replace(
-            old,
-            self_int=old.self_int - m * m,
-            k_degree=old.k_degree + m,
-            node_count=old.node_count - node_fix,
-        )
+        curves[cid] = Curve(old.id, old.self_int - m * m, old.genus,
+                            old.k_degree + m, old.node_count - node_fix)
         defect = curves[cid].adjunction_defect()
         if defect != 0:
             raise AdjunctionError(

@@ -108,7 +108,8 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
 
     ambient = InvariantSet(2 * base.ambient.e, 2 * base.ambient.sigma)
     cover = Configuration(curves, pairings, ambient, base.pi1_order // 2)
-    problems = pullback_violations(base, cover, decl.base_of)
+    # the curves were just shaped by _preimage_shape, so only pairs can fail
+    problems = _pair_violations(base, cover, decl.base_of)
     if problems:
         raise CoverError(problems[0])
     return cover
@@ -127,6 +128,19 @@ def pullback_violations(base: Configuration, cover: Configuration,
     """Where the cover fails to lie over the base (cover id -> base id in
     base_of); empty means it lies over.  Pair problems come first, in sorted
     order of the base pair, then curve problems in sorted cover-id order."""
+    problems = _pair_violations(base, cover, base_of)
+    sheets = Counter(base_of.values())
+    shape = {a: _preimage_shape(c, sheets[a]) for a, c in base.curves.items()}
+    for x in sorted(x for x, c in cover.curves.items()
+                    if (c.self_int, c.genus, c.k_degree, c.node_count) != shape[base_of[x]]):
+        problems.append(f"{x} over {base_of[x]}: (C.C, genus, K.C, nodes) "
+                        f"{_preimage_shape(cover.curves[x], 2)}, expected {shape[base_of[x]]}")
+    return problems
+
+
+def _pair_violations(base: Configuration, cover: Configuration,
+                     base_of: Mapping[str, str]) -> list[str]:
+    """The pair half of pullback_violations, in sorted order of the base pair."""
     # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
     # the pairing between the two preimages of a; only pairs with a pairing can fail
     excess = {key: -2 * v for key, v in base.pairings.items()
@@ -144,11 +158,4 @@ def pullback_violations(base: Configuration, cover: Configuration,
             want = 2 * base.pairing(a, b)
             problems.append(f"pullback pairing sum violated for {a}.{b}: cover total "
                             f"{want + excess[a, b]}, expected {want}")
-
-    sheets = Counter(base_of.values())
-    shape = {a: _preimage_shape(c, sheets[a]) for a, c in base.curves.items()}
-    for x in sorted(x for x, c in cover.curves.items()
-                    if (c.self_int, c.genus, c.k_degree, c.node_count) != shape[base_of[x]]):
-        problems.append(f"{x} over {base_of[x]}: (C.C, genus, K.C, nodes) "
-                        f"{_preimage_shape(cover.curves[x], 2)}, expected {shape[base_of[x]]}")
     return problems

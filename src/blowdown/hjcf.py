@@ -224,54 +224,48 @@ def wahl_family(max_p: int) -> Iterator[tuple[WahlParams, Chain]]:
             yield WahlParams(p, q), chain
 
 
-def wahl_texts(max_p: int) -> Iterator[tuple[int, int, int, str]]:
-    """(p, q, length, text) for the pairs of wahl_family, in the same order.
+def wahl_texts(max_p: int, max_length: Optional[int] = None
+               ) -> Iterator[tuple[int, int, int, str]]:
+    """(p, q, length, text) for the chains of wahl_family, in the same order.
 
-    text is the chain of C(p, q) joined by commas.  It is written straight
-    from the regular continued fraction, as hj_expand's blockwise loop
-    walks it: one string per odd-position entry and one pre-joined piece
-    per run of 2s.  A Wahl chain of p has at most p - 1 entries, each at
-    most p + 2, so its runs of 2s are at most p - 2 long.  A run of 2s
-    reads the same backwards, so for 2q > p the pieces of C(p, p - q) are
-    reversed as in wahl_family.
+    text is the chain of C(p, q) joined by commas; with max_length given,
+    only chains of at most that many entries are yielded.  Every Wahl chain
+    grows from [4] = C(2, 1) by the two moves of tchain_children:
+
+        C(p + q, q)  = [b_1 + 1, b_2, ..., b_l, 2]
+        C(2p - q, p) = [2, b_1, ..., b_l + 1]
+
+    each with a larger p and one more entry, and each chain is reached once.
+    So the walk keeps the pending chains of each p, takes p upwards and q
+    upwards within it, and writes a child's text from its parent's by
+    changing one end entry and adding a 2.  Both bounds prune the tree, so
+    the cost follows the output.  A chain of p has at most p - 1 entries,
+    each at most p + 2: so max_length = max_p bounds nothing, and num holds
+    the string of every entry.
     """
+    if max_length is None:
+        max_length = max_p
     num = [str(b) for b in range(max_p + 3)]
-    twos = [",".join("2" * j) for j in range(max_p - 1)]  # twos[j]: a run of j 2s
+    # pending[p]: (q, first entry, last entry, length, text) of C(p, q)
+    pending = [[] for _ in range(max_p + 1)]
+    if max_p >= 2:
+        pending[2].append((1, 4, 4, 1, "4"))
     for p in range(2, max_p + 1):
-        pp = p * p
-        half = {}  # q -> (length, pieces) of C(p, q), for 2q <= p
-        for q in range(1, p):
-            if _gcd(p, q) != 1:
+        nodes = pending[p]
+        pending[p] = None
+        nodes.sort()
+        # C(p + q, q) fits for q <= room, C(2p - q, p) for q >= p - room
+        room = max_p - p
+        for q, first, last, length, text in nodes:
+            yield p, q, length, text
+            if length == max_length:
                 continue
-            if 2 * q > p:
-                length, pieces = half[p - q]
-                yield p, q, length, ",".join(reversed(pieces))
-                continue
-            n, m = pp, p * q - 1
-            a, r = divmod(n, m)
-            length = 1
-            if not r:
-                pieces = [num[a]]
-            else:
-                pieces = [num[a + 1]]
-                n, m = m, r
-                while True:
-                    a, r = divmod(n, m)
-                    if a > 1:
-                        pieces.append(twos[a - 1])
-                        length += a - 1
-                    if not r:
-                        break
-                    n, m = m, r
-                    a, r = divmod(n, m)
-                    length += 1
-                    if not r:
-                        pieces.append(num[a + 1])
-                        break
-                    pieces.append(num[a + 2])
-                    n, m = m, r
-            half[q] = length, pieces
-            yield p, q, length, ",".join(pieces)
+            if q <= room:
+                text_r = num[first + 1] + text[len(num[first]):] + ",2"
+                pending[p + q].append((q, first + 1, 2, length + 1, text_r))
+            if q >= p - room:
+                text_l = "2," + text[:len(text) - len(num[last])] + num[last + 1]
+                pending[2 * p - q].append((p, 2, last + 1, length + 1, text_l))
 
 
 def wahl_closure(max_length: int) -> set[tuple[int, ...]]:

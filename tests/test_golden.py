@@ -74,6 +74,15 @@ def test_chains_atlas_p250_sha256(capsysbinary):
         "2c69bf9c220ee88e3bd8a0469d5c8ed727c4aa49672ab82441b8ffd5f26af42d")
 
 
+def test_short_chains_atlas_sha256(capsysbinary):
+    # 63 rows; the length bound prunes the walk long before p reaches 1500
+    assert main(["chains", "--max-p", "1500", "--max-length", "6"]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.count(b"\n") == 64
+    assert hashlib.sha256(out).hexdigest() == (
+        "64b3924a7d39d276b1cb3443073d0c66860e822c2043a5dd2a4529774c8a77ba")
+
+
 @pytest.mark.parametrize("max_length", [1, 2, 10])
 def test_chains_rows_match_wahl_family(capsys, max_length):
     assert main(["chains", "--max-p", "60", "--max-length", str(max_length)]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,49 @@ class TestWahlTexts:
             runs = [len(list(run)) for b, run in itertools.groupby(chain) if b == 2]
             assert len(chain) <= w.p - 1
             assert max(runs, default=0) <= w.p - 2
+
+
+@pytest.fixture(scope="module")
+def family_300():
+    return [(w.p, w.q, len(c), ",".join(map(str, c))) for w, c in wahl_family(300)]
+
+
+class TestWahlTree:
+    """wahl_texts walks the tchain_children tree, pruned by p and by length."""
+
+    @pytest.mark.parametrize("max_p", [2, 3, 7, 60, 300])
+    def test_bounds_match_filtered_family(self, family_300, max_p):
+        for max_length in [*range(1, 13), None]:
+            want = [row for row in family_300 if row[0] <= max_p
+                    and (max_length is None or row[2] <= max_length)]
+            assert list(wahl_texts(max_p, max_length)) == want, max_length
+
+    def test_rows_have_tchain_children(self):
+        rows = {(p, q): (length, text) for p, q, length, text in wahl_texts(240)}
+        for (p, q), (length, text) in rows.items():
+            if p > 120:
+                continue
+            left, right = tchain_children(Chain(int(b) for b in text.split(",")))
+            assert rows[2 * p - q, p] == (length + 1, ",".join(map(str, left)))
+            assert rows[p + q, q] == (length + 1, ",".join(map(str, right)))
+
+    def test_length_is_partial_quotient_sum_minus_one(self):
+        for p, q, length, _ in wahl_texts(300):
+            total, n, m = 0, p, q
+            while m:
+                total += n // m
+                n, m = m, n % m
+            assert length == total - 1, (p, q)
+
+    def test_short_atlas_memory_follows_output(self):
+        tracemalloc.start()
+        try:
+            rows = list(wahl_texts(3000, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 63
+        assert peak < 1 << 20
 
 
 def _compositions(total, parts, minimum=2):
