@@ -5,9 +5,13 @@ intersection numbers alone, so a lift is driven by a declaration: every base
 curve maps either to two disjoint copies (Split) or to one connected double
 cover (Connected), and the cover's pairing table is declared explicitly.
 pullback_violations checks that the cover lies over the base: preimages
-shaped as _preimage_shape says, and for every base pair
+shaped as _preimage_shape says, for every base pair
 
-    sum of cover pairings over the preimages of {a, b}  =  2 * (a . b).
+    sum of cover pairings over the preimages of {a, b}  =  2 * (a . b),
+
+and every cover pairing equal to that of its image under the deck
+involution, which swaps the two preimages of a split curve.  A lift checks
+the sums only; the involution is checked once, on the blown-up cover.
 
 Ambient invariants double (e, sigma, K^2), the fundamental-group order
 halves, and each base blow-up lifts to exactly two cover blow-ups at the two
@@ -127,7 +131,9 @@ def pullback_violations(base: Configuration, cover: Configuration,
                         base_of: Mapping[str, str]) -> list[str]:
     """Where the cover fails to lie over the base (cover id -> base id in
     base_of); empty means it lies over.  Pair problems come first, in sorted
-    order of the base pair, then curve problems in sorted cover-id order."""
+    order of the base pair, then curve problems in sorted cover-id order,
+    then cover pairings that differ from the pairing of their image under
+    the deck involution, in sorted order."""
     problems = _pair_violations(base, cover, base_of)
     sheets = Counter(base_of.values())
     shape = {a: _preimage_shape(c, sheets[a]) for a, c in base.curves.items()}
@@ -135,7 +141,22 @@ def pullback_violations(base: Configuration, cover: Configuration,
                     if (c.self_int, c.genus, c.k_degree, c.node_count) != shape[base_of[x]]):
         problems.append(f"{x} over {base_of[x]}: (C.C, genus, K.C, nodes) "
                         f"{_preimage_shape(cover.curves[x], 2)}, expected {shape[base_of[x]]}")
-    return problems
+    # the deck involution tau swaps the two preimages of a base curve and
+    # fixes a lone one; a broken pair is named once, from its nonzero side
+    first: dict[str, str] = {}
+    tau: dict[str, str] = {}
+    for x, a in base_of.items():
+        y = tau[x] = first.setdefault(a, x)
+        tau[y] = x
+    swapped = []
+    for (x, y), v in cover.pairings.items():
+        tx, ty = tau[x], tau[y]
+        image = (tx, ty) if tx < ty else (ty, tx)
+        w = cover.pairings.get(image, 0)
+        if v != w and v and (not w or (x, y) < image):
+            swapped.append(f"deck involution violated: {x}.{y} = {v} but "
+                           f"{image[0]}.{image[1]} = {w}")
+    return problems + sorted(swapped)
 
 
 def _pair_violations(base: Configuration, cover: Configuration,

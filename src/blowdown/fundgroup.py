@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .configuration import Configuration
 from .hjcf import WahlParams
@@ -100,11 +100,6 @@ class Derivation:
         return self.group is not None
 
 
-def _step(rule: str, inputs: dict, conclusion: str, justification: str) -> TraceStep:
-    return TraceStep(rule, tuple(sorted((k, str(v)) for k, v in inputs.items())),
-                     conclusion, justification)
-
-
 def pushout_cyclic(B: CyclicGroup, C: CyclicGroup,
                    f: CyclicHom, g: CyclicHom) -> Optional[CyclicGroup]:
     """Pushout B *_A C along f: A -> B, g: A -> C.
@@ -138,37 +133,23 @@ def kill_rule(pi1_ambient: CyclicGroup, p1: int, p2: int,
     """
     if p1 < 2 or p2 < 2:
         raise ValueError("p1 and p2 must be >= 2")
-    trace = DerivationTrace()
-    trace = trace.extend(_step(
-        "boundary_order_divides", {"p1": p1, "p2": p2},
-        f"ord(x) | {p1 * p1}, ord(y) | {p2 * p2}",
-        "normal circles of the chain boundaries generate cyclic groups of "
-        "order p^2 (lens space first homology)"))
-    if not same_order_witness:
-        trace = trace.extend(_step(
-            "equal_order_witness", {"witness": False}, "inconclusive",
-            "no (-1)-sphere witness: equal orders not established"))
-        return Derivation(None, "missing equal-order witness", trace)
-    trace = trace.extend(_step(
-        "equal_order_witness", {"witness": True}, "ord(x) = ord(y)",
-        "both normal circles lie on one (-1)-sphere, hence are isotopic "
-        "there and have equal order in the complement"))
     g = math.gcd(p1, p2)
-    if g != 1:
-        trace = trace.extend(_step(
-            "coprime_kill", {"p1": p1, "p2": p2, "gcd": g}, "inconclusive",
-            "p1 and p2 share a factor; the equal order need not be 1"))
-        return Derivation(None, f"gcd({p1},{p2}) = {g} != 1", trace)
-    trace = trace.extend(_step(
-        "coprime_kill", {"p1": p1, "p2": p2, "gcd": 1},
-        "ord(x) = ord(y) = 1",
-        f"the common order divides gcd({p1}^2, {p2}^2) = 1"))
-    trace = trace.extend(_step(
-        "identify_pi1", {"ambient_order": pi1_ambient.order},
-        f"pi1(complement) = Z{pi1_ambient.order}",
-        "killing trivial classes changes nothing: the quotient map is an "
-        "isomorphism"))
-    return Derivation(pi1_ambient, None, trace)
+    step = _Recorder()
+    step("boundary_order_divides", {"p1": p1, "p2": p2},
+         "normal circles of the chain boundaries generate cyclic groups of "
+         "order p^2 (lens space first homology)")
+    if not step("equal_order_witness", {"witness": bool(same_order_witness)},
+                "both normal circles lie on one (-1)-sphere, hence are isotopic "
+                "there and have equal order in the complement",
+                "no (-1)-sphere witness: equal orders not established"):
+        return Derivation(None, "missing equal-order witness", step.trace)
+    if not step("coprime_kill", {"p1": p1, "p2": p2, "gcd": g},
+                f"the common order divides gcd({p1}^2, {p2}^2) = 1",
+                "p1 and p2 share a factor; the equal order need not be 1"):
+        return Derivation(None, f"gcd({p1},{p2}) = {g} != 1", step.trace)
+    step("identify_pi1", {"ambient_order": pi1_ambient.order}, "killing trivial classes "
+         "changes nothing: the quotient map is an isomorphism")
+    return Derivation(pi1_ambient, None, step.trace)
 
 
 def minus_one_sphere_witness(config: Configuration,
@@ -216,91 +197,85 @@ def pi1_after_blowdown(pi1_ambient: CyclicGroup,
     """
     params = [w if isinstance(w, WahlParams) else WahlParams(*w) for w in pieces]
     if len(params) != 2:
-        trace = DerivationTrace((_step(
-            "arity_check", {"pieces": len(params)}, "inconclusive",
-            "the two-chain argument applies to exactly two pieces"),))
-        return Derivation(None, f"need exactly 2 pieces, got {len(params)}", trace)
-    p1, p2 = params[0].p, params[1].p
-    killed = kill_rule(pi1_ambient, p1, p2, witness)
+        step = _Recorder()
+        step("arity_check", {"pieces": len(params)},
+             "the two-chain argument applies to exactly two pieces")
+        return Derivation(None, f"need exactly 2 pieces, got {len(params)}", step.trace)
+    killed = kill_rule(pi1_ambient, params[0].p, params[1].p, witness)
     if not killed.conclusive:
         return killed
-    current = killed.group
-    trace = killed.trace
+    step = _Recorder(killed.trace, killed.group.order)
     for w in params:
-        edge = CyclicGroup(w.p * w.p)
-        ball = CyclicGroup(w.p)
-        to_complement = CyclicHom(edge, current, 0)  # zero map: class was killed
-        to_ball = CyclicHom(edge, ball, 1)           # reduction, surjective
-        result = pushout_cyclic(current, ball, to_complement, to_ball)
-        inputs = {"B": current.order, "C": ball.order, "edge": edge.order,
-                  "f1": 0, "g1": 1}
-        if result is None:
-            trace = trace.extend(_step("pushout_cyclic", inputs, "unresolved",
-                                       "no surjective leg"))
-            return Derivation(None, "pushout not computable", trace)
-        trace = trace.extend(_step(
-            "pushout_cyclic", inputs,
-            f"Z{current.order} *_Z{edge.order} Z{ball.order} = Z{result.order}",
-            f"gluing the rational ball B_{w.p},{w.q}: the boundary maps by "
-            "zero into the complement (killed class) and onto the ball side"))
-        current = result
-    trace = trace.extend(_step(
-        "conclude", {"order": current.order},
-        f"pi1(blow-down) = Z{current.order}",
-        "both balls glued; the amalgam stabilised"))
-    return Derivation(current, None, trace)
+        if not step("pushout_cyclic", {"B": step.order, "C": w.p, "edge": w.p * w.p,
+                                       "f1": 0, "g1": 1},
+                    f"gluing the rational ball B_{w.p},{w.q}: the boundary maps by "
+                    "zero into the complement (killed class) and onto the ball side",
+                    "no surjective leg"):
+            return Derivation(None, "pushout not computable", step.trace)
+    step("conclude", {"order": step.order}, "both balls glued; the amalgam stabilised")
+    return Derivation(CyclicGroup(step.order), None, step.trace)
 
 
-# --- trace replay -----------------------------------------------------------
+# --- the rule table: derivation and replay draw every conclusion from it ------
 
-def _replay_step(step: TraceStep, prior: list[TraceStep]) -> bool:
-    ins = dict(step.inputs)
-    rule = step.rule
+def _conclusion(rule: str, ins: Mapping[str, str],
+                order: Optional[int]) -> tuple[Optional[str], Optional[int]]:
+    """The conclusion a rule draws from a step's inputs, or None if the step
+    breaks its rule or does not link to the group order held before it; and
+    the order held after it: None before the kill, 0 once both classes die,
+    then the ambient order and each pushout's result."""
     if rule == "boundary_order_divides":
         p1, p2 = int(ins["p1"]), int(ins["p2"])
-        return step.conclusion == f"ord(x) | {p1 * p1}, ord(y) | {p2 * p2}"
+        return f"ord(x) | {p1 * p1}, ord(y) | {p2 * p2}", order
     if rule == "equal_order_witness":
-        if ins["witness"] == "True":
-            return step.conclusion == "ord(x) = ord(y)"
-        return step.conclusion == "inconclusive"
+        return {"True": "ord(x) = ord(y)", "False": "inconclusive"}.get(ins["witness"]), order
     if rule == "coprime_kill":
-        p1, p2 = int(ins["p1"]), int(ins["p2"])
-        g = math.gcd(p1, p2)
-        if int(ins["gcd"]) != g:
-            return False
-        if g == 1:
-            return step.conclusion == "ord(x) = ord(y) = 1"
-        return step.conclusion == "inconclusive"
-    if rule == "identify_pi1":
-        order = int(ins["ambient_order"])
-        needs = any(s.rule == "coprime_kill" and s.conclusion == "ord(x) = ord(y) = 1"
-                    for s in prior)
-        return needs and step.conclusion == f"pi1(complement) = Z{order}"
-    if rule == "pushout_cyclic":
-        b, c, edge = int(ins["B"]), int(ins["C"]), int(ins["edge"])
-        f = CyclicHom(CyclicGroup(edge), CyclicGroup(b), int(ins["f1"]))
-        g = CyclicHom(CyclicGroup(edge), CyclicGroup(c), int(ins["g1"]))
-        result = pushout_cyclic(CyclicGroup(b), CyclicGroup(c), f, g)
+        g = int(ins["gcd"])
+        if g == math.gcd(int(ins["p1"]), int(ins["p2"])):
+            return ("ord(x) = ord(y) = 1", 0) if g == 1 else ("inconclusive", order)
+    if rule == "identify_pi1" and order == 0:
+        ambient = int(ins["ambient_order"])
+        return f"pi1(complement) = Z{ambient}", ambient
+    if rule == "pushout_cyclic" and order and int(ins["B"]) == order:
+        A, B, C = (CyclicGroup(int(ins[k])) for k in ("edge", "B", "C"))
+        result = pushout_cyclic(B, C, CyclicHom(A, B, int(ins["f1"])),
+                                CyclicHom(A, C, int(ins["g1"])))
         if result is None:
-            return step.conclusion == "unresolved"
-        return step.conclusion == f"Z{b} *_Z{edge} Z{c} = Z{result.order}"
-    if rule == "conclude":
-        order = int(ins["order"])
-        for s in reversed(prior):
-            if s.rule == "pushout_cyclic":
-                return s.conclusion.endswith(f"= Z{order}") and \
-                    step.conclusion == f"pi1(blow-down) = Z{order}"
-        return False
+            return "unresolved", order
+        return f"Z{B.order} *_Z{A.order} Z{C.order} = Z{result.order}", result.order
+    if rule == "conclude" and order and int(ins["order"]) == order:
+        return f"pi1(blow-down) = Z{order}", order
     if rule == "arity_check":
-        return step.conclusion == "inconclusive"
-    return False
+        return "inconclusive", order
+    return None, order
+
+
+class _Recorder:
+    """Appends trace steps whose conclusions come from _conclusion."""
+
+    def __init__(self, trace: DerivationTrace = DerivationTrace(), order: Optional[int] = None):
+        self.trace, self.order = trace, order
+
+    def __call__(self, rule: str, inputs: dict, why: str, why_not: str = "") -> bool:
+        """Record a step justified by why, or by why_not if the rule refuses
+        (concludes inconclusive or unresolved); False when it refuses."""
+        ins = tuple(sorted((k, str(v)) for k, v in inputs.items()))
+        conclusion, self.order = _conclusion(rule, dict(ins), self.order)
+        refused = conclusion in ("inconclusive", "unresolved")
+        self.trace = self.trace.extend(
+            TraceStep(rule, ins, conclusion, why_not if refused and why_not else why))
+        return not refused
 
 
 def replay_trace(trace: DerivationTrace) -> bool:
-    """Recompute every step's conclusion from its inputs through the rules."""
-    prior: list[TraceStep] = []
-    for step in trace:
-        if not _replay_step(step, prior):
-            return False
-        prior.append(step)
+    """Fold the rule table over the trace: each conclusion must be the one its
+    rule draws from the step's inputs and the order the steps before it hold."""
+    order = None
+    try:
+        for step in trace:
+            conclusion, order = _conclusion(step.rule, dict(step.inputs), order)
+            if conclusion is None or conclusion != step.conclusion:
+                return False
+    except (KeyError, ValueError):  # a missing or malformed input
+        return False
     return True

@@ -212,6 +212,25 @@ class TestLiesOver:
         assert rc == 1 and cover["status"] == "fail"
         assert any(named in v for v in cover["doubling_violations"]), cover["doubling_violations"]
 
+    def test_deck_involution_probe_fails(self, tmp_path, capsys):
+        # S1b meets T1a and S2a meets T1b, with the lifts of E6 and E7 moved
+        # to match: every pullback sum holds, but E6a and E6b, which tau
+        # swaps, both meet T1b
+        text = bundled.text("cover_b2plus3")
+        for old, new in (("pairing S1b.T1b = 1", "pairing S1b.T1a = 1"),
+                         ("pairing S2a.T1a = 1", "pairing S2a.T1b = 1"),
+                         ("E6a = point S2a, T1a", "E6a = point S2a, T1b"),
+                         ("E7b = point S1b, T1b", "E7b = point S1b, T1a")):
+            assert old in text
+            text = text.replace(old, new)
+        rc, out, _ = _verify_text(tmp_path, capsys, text)
+        cover = json.loads(out)["sections"]["cover"]
+        assert rc == 1 and cover["status"] == "fail"
+        assert "deck involution violated: E6a.T1b = 1 but E6b.T1a = 0" in \
+            cover["doubling_violations"]
+        assert all(v.startswith("deck involution violated: ")
+                   for v in cover["doubling_violations"])
+
     def test_step_lifted_twice_exit_two(self, tmp_path, capsys):
         text = bundled.text("cover_b2plus3").replace(
             self.LIFT_E12, self.LIFT_E12 + "\nblowup E12 -> E12c = point Da9 ; E12d = point Db9")
@@ -225,6 +244,10 @@ class TestLiesOver:
         rc, out, err = _verify_text(tmp_path, capsys, text)
         assert rc == 2 and out == ""
         assert f"line {_line_of(text, 'E12 = ')}: blow-up E12 has no lift in [cover]" in err
+
+
+def _dot(x, y):
+    return ".".join(sorted((x, y)))
 
 
 def _on_sheet(step, s, new_id=None):
@@ -267,3 +290,21 @@ class TestLiftCommutesWithBlowup:
                     moved += 1
                     break
         assert moved >= 50
+
+    def test_compensating_swap_breaks_involution(self):
+        # the probe's swap: a base pair's b-sheet pairing ab.bb moves to ab.ba,
+        # so every pullback sum still holds but no deck involution exists
+        for seed in range(200):
+            base, steps = random_program(random.Random(seed))
+            final = run_program(base, steps)
+            plan = [_on_sheet(st, s) for st in steps for s in "ab"]
+            cover, base_of = self.lift(base, plan, steps)
+            a, b = random.Random(seed).choice(sorted(final.pairings))
+            v = final.pairing(a, b)
+            swapped = cover.with_pairing(a + "b", b + "b", 0).with_pairing(a + "b", b + "a", v)
+            problems = pullback_violations(final, swapped, base_of)
+            # tau sends aa.ba = v to ab.bb = 0, and the new ab.ba = v to aa.bb = 0
+            assert problems == sorted(
+                f"deck involution violated: {_dot(x, y)} = {v} but {_dot(tx, ty)} = 0"
+                for x, y, tx, ty in ((a + "a", b + "a", a + "b", b + "b"),
+                                     (a + "b", b + "a", a + "a", b + "b")))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from blowdown.configuration import Curve, preset
@@ -175,3 +177,27 @@ class TestPiOneAfterBlowdown:
         from blowdown.fundgroup import DerivationTrace
         bad = DerivationTrace(d.trace.steps[:-1] + (forged,))
         assert not replay_trace(bad)
+        steps = d.trace.steps
+        forgeries = {
+            # each forged step follows its rule on its own inputs, but the
+            # first pushout is over Z4 where the identified pi1 is Z2 ...
+            "pushout B": _edit(steps, "pushout_cyclic", "Z4 *_Z5329 Z73 = Z4", B="4"),
+            # ... and here pi1 is identified as Z6, the pushout still over Z2
+            "ambient order": _edit(steps, "identify_pi1", "pi1(complement) = Z6",
+                                   ambient_order="6"),
+            # no kill: nothing makes the complement's pi1 the ambient one
+            "dropped kill": _edit(steps, "coprime_kill"),
+            "unknown rule": steps[:-1] + (replace(steps[-1], rule="assert_pi1"),),
+        }
+        for name, forgery in forgeries.items():
+            assert not replay_trace(DerivationTrace(forgery)), name
+
+
+def _edit(steps, rule, conclusion=None, **inputs):
+    """The steps with the first step of rule given new inputs and conclusion,
+    or dropped when no conclusion is given."""
+    i = next(i for i, s in enumerate(steps) if s.rule == rule)
+    if conclusion is None:
+        return steps[:i] + steps[i + 1:]
+    ins = tuple(sorted({**dict(steps[i].inputs), **inputs}.items()))
+    return steps[:i] + (replace(steps[i], inputs=ins, conclusion=conclusion),) + steps[i + 1:]

@@ -9,6 +9,7 @@ intended change.  ``chains_p60.tsv`` is the output of
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,40 @@ def test_scaled_report():
     report = verify(parse_scenario(text))
     assert report.status == "pass"
     assert report.to_json().encode() == _read("scaled_5.json")
+
+
+def _shuffled(text: str, rng: random.Random) -> str:
+    """text with the statements of [curves], of [pairings], and the cover's
+    split and pairing lines, each permuted among their own lines."""
+    lines = text.splitlines(keepends=True)
+    places: dict[str, list[int]] = {}
+    section = ""
+    for i, line in enumerate(lines):
+        words = line.split()
+        if line.startswith("["):
+            section = line.strip()
+        elif words and not words[0].startswith("#"):
+            if section in ("[curves]", "[pairings]"):
+                places.setdefault(section, []).append(i)
+            elif section == "[cover]" and words[0] in ("split", "pairing"):
+                places.setdefault(words[0], []).append(i)
+    for idx in places.values():
+        moved = [lines[i] for i in idx]
+        rng.shuffle(moved)
+        for i, line in zip(idx, moved):
+            lines[i] = line
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", bundled.names() + ("scaled_5",))
+def test_reports_ignore_statement_order(name):
+    text = (GOLDEN / "scaled_5.scn").read_text(encoding="utf-8") if name == "scaled_5" \
+        else bundled.text(name)
+    shuffled = _shuffled(text, random.Random(name))
+    assert shuffled != text
+    want, got = verify(parse_scenario(text)), verify(parse_scenario(shuffled))
+    assert got.to_json() == want.to_json()
+    assert got.to_text() == want.to_text()
 
 
 def test_chains_atlas(capsysbinary):
