@@ -131,10 +131,15 @@ def kill_rule(pi1_ambient: CyclicGroup, p1: int, p2: int,
     ord(y) | p2^2.  Given the equal-order witness and gcd(p1, p2) = 1 the
     classes are trivial, so pi1(complement) = pi1(ambient).
     """
+    return _kill(_Recorder(), pi1_ambient, p1, p2, same_order_witness)
+
+
+def _kill(step: "_Recorder", pi1_ambient: CyclicGroup, p1: int, p2: int,
+          same_order_witness: bool) -> Derivation:
+    """kill_rule, recorded by step, which pi1_after_blowdown goes on using."""
     if p1 < 2 or p2 < 2:
         raise ValueError("p1 and p2 must be >= 2")
     g = math.gcd(p1, p2)
-    step = _Recorder()
     step("boundary_order_divides", {"p1": p1, "p2": p2},
          "normal circles of the chain boundaries generate cyclic groups of "
          "order p^2 (lens space first homology)")
@@ -161,9 +166,7 @@ def minus_one_sphere_witness(config: Configuration,
     that meets exactly one end-curve of each chain once and no other chain
     curve.
     """
-    if sphere_id not in config.curves:
-        raise KeyError(f"unknown curve id {sphere_id!r}")
-    for cid in tuple(emb1) + tuple(emb2):
+    for cid in (sphere_id, *emb1, *emb2):
         if cid not in config.curves:
             raise KeyError(f"unknown curve id {cid!r}")
     sphere = config.curves[sphere_id]
@@ -173,13 +176,8 @@ def minus_one_sphere_witness(config: Configuration,
         return False
     near = config.neighbours[sphere_id]
     for emb in (emb1, emb2):
-        ids = tuple(emb)
-        ends = {ids[0], ids[-1]}
-        meets = {cid: near[cid] for cid in ids if cid in near}
-        if len(meets) != 1:
-            return False
-        (cid, v), = meets.items()
-        if v != 1 or cid not in ends:
+        meets = {cid: near[cid] for cid in emb if cid in near}
+        if meets not in ({emb[0]: 1}, {emb[-1]: 1}):
             return False
     return True
 
@@ -196,84 +194,86 @@ def pi1_after_blowdown(pi1_ambient: CyclicGroup,
     other than two are refused.
     """
     params = [w if isinstance(w, WahlParams) else WahlParams(*w) for w in pieces]
+    step = _Recorder()
     if len(params) != 2:
-        step = _Recorder()
         step("arity_check", {"pieces": len(params)},
              "the two-chain argument applies to exactly two pieces")
         return Derivation(None, f"need exactly 2 pieces, got {len(params)}", step.trace)
-    killed = kill_rule(pi1_ambient, params[0].p, params[1].p, witness)
+    killed = _kill(step, pi1_ambient, params[0].p, params[1].p, witness)
     if not killed.conclusive:
         return killed
-    step = _Recorder(killed.trace, killed.group.order)
     for w in params:
-        if not step("pushout_cyclic", {"B": step.order, "C": w.p, "edge": w.p * w.p,
+        if not step("pushout_cyclic", {"B": step.state[2], "C": w.p, "edge": w.p * w.p,
                                        "f1": 0, "g1": 1},
                     f"gluing the rational ball B_{w.p},{w.q}: the boundary maps by "
                     "zero into the complement (killed class) and onto the ball side",
                     "no surjective leg"):
             return Derivation(None, "pushout not computable", step.trace)
-    step("conclude", {"order": step.order}, "both balls glued; the amalgam stabilised")
-    return Derivation(CyclicGroup(step.order), None, step.trace)
+    order = step.state[2]
+    step("conclude", {"order": order}, "both balls glued; the amalgam stabilised")
+    return Derivation(CyclicGroup(order), None, step.trace)
 
 
 # --- the rule table: derivation and replay draw every conclusion from it ------
 
-def _conclusion(rule: str, ins: Mapping[str, str],
-                order: Optional[int]) -> tuple[Optional[str], Optional[int]]:
+_START, _END = ("", (), 0), ("end", (), 0)  # before the first step; after the last
+
+
+def _conclusion(rule: str, ins: Mapping[str, int], state: tuple) -> tuple[Optional[str], tuple]:
     """The conclusion a rule draws from a step's inputs, or None if the step
-    breaks its rule or does not link to the group order held before it; and
-    the order held after it: None before the kill, 0 once both classes die,
-    then the ambient order and each pushout's result."""
-    if rule == "boundary_order_divides":
-        p1, p2 = int(ins["p1"]), int(ins["p2"])
-        return f"ord(x) | {p1 * p1}, ord(y) | {p2 * p2}", order
-    if rule == "equal_order_witness":
-        return {"True": "ord(x) = ord(y)", "False": "inconclusive"}.get(ins["witness"]), order
-    if rule == "coprime_kill":
-        g = int(ins["gcd"])
-        if g == math.gcd(int(ins["p1"]), int(ins["p2"])):
-            return ("ord(x) = ord(y) = 1", 0) if g == 1 else ("inconclusive", order)
-    if rule == "identify_pi1" and order == 0:
-        ambient = int(ins["ambient_order"])
-        return f"pi1(complement) = Z{ambient}", ambient
-    if rule == "pushout_cyclic" and order and int(ins["B"]) == order:
-        A, B, C = (CyclicGroup(int(ins[k])) for k in ("edge", "B", "C"))
-        result = pushout_cyclic(B, C, CyclicHom(A, B, int(ins["f1"])),
-                                CyclicHom(A, C, int(ins["g1"])))
-        if result is None:
-            return "unresolved", order
-        return f"Z{B.order} *_Z{A.order} Z{C.order} = Z{result.order}", result.order
-    if rule == "conclude" and order and int(ins["order"]) == order:
-        return f"pi1(blow-down) = Z{order}", order
-    if rule == "arity_check":
-        return "inconclusive", order
-    return None, order
+    breaks its rule or does not follow the steps before it; and the state
+    after it: the last rule applied, the p of each chain whose ball is still
+    to glue, and the group order held since identify_pi1.  A refusal
+    (inconclusive, unresolved) and the conclusion end the argument."""
+    stage, ps, order = state
+    if stage == "" and rule == "arity_check":
+        return "inconclusive", _END
+    if stage == "" and rule == "boundary_order_divides" and min(ins["p1"], ins["p2"]) >= 2:
+        ps = ins["p1"], ins["p2"]
+        return f"ord(x) | {ps[0] ** 2}, ord(y) | {ps[1] ** 2}", (rule, ps, 0)
+    if stage == "boundary_order_divides" and rule == "equal_order_witness":
+        return ("ord(x) = ord(y)", (rule, ps, 0)) if ins["witness"] else ("inconclusive", _END)
+    if (stage == "equal_order_witness" and rule == "coprime_kill"
+            and (ins["p1"], ins["p2"], ins["gcd"]) == (*ps, math.gcd(*ps))):
+        return ("ord(x) = ord(y) = 1", (rule, ps, 0)) if ins["gcd"] == 1 else ("inconclusive", _END)
+    if stage == "coprime_kill" and rule == "identify_pi1" and ins["ambient_order"] >= 1:
+        return f"pi1(complement) = Z{ins['ambient_order']}", (rule, ps, ins["ambient_order"])
+    if (stage in ("identify_pi1", "pushout_cyclic") and ps and rule == "pushout_cyclic"
+            and (ins["B"], ins["C"], ins["edge"], ins["f1"]) == (order, ps[0], ps[0] ** 2, 0)):
+        A, B, C = CyclicGroup(ps[0] ** 2), CyclicGroup(order), CyclicGroup(ps[0])
+        out = pushout_cyclic(B, C, CyclicHom(A, B, 0), CyclicHom(A, C, ins["g1"]))
+        return ("unresolved", _END) if out is None else (
+            f"Z{B.order} *_Z{A.order} Z{C.order} = Z{out.order}", (rule, ps[1:], out.order))
+    if stage == "pushout_cyclic" and not ps and rule == "conclude" and ins["order"] == order:
+        return f"pi1(blow-down) = Z{order}", _END
+    return None, state
 
 
 class _Recorder:
     """Appends trace steps whose conclusions come from _conclusion."""
 
-    def __init__(self, trace: DerivationTrace = DerivationTrace(), order: Optional[int] = None):
-        self.trace, self.order = trace, order
+    trace, state = DerivationTrace(), _START
 
     def __call__(self, rule: str, inputs: dict, why: str, why_not: str = "") -> bool:
         """Record a step justified by why, or by why_not if the rule refuses
         (concludes inconclusive or unresolved); False when it refuses."""
-        ins = tuple(sorted((k, str(v)) for k, v in inputs.items()))
-        conclusion, self.order = _conclusion(rule, dict(ins), self.order)
+        conclusion, self.state = _conclusion(rule, inputs, self.state)
         refused = conclusion in ("inconclusive", "unresolved")
-        self.trace = self.trace.extend(
-            TraceStep(rule, ins, conclusion, why_not if refused and why_not else why))
+        self.trace = self.trace.extend(TraceStep(
+            rule, tuple(sorted((k, str(v)) for k, v in inputs.items())), conclusion,
+            why_not if refused and why_not else why))
         return not refused
 
 
 def replay_trace(trace: DerivationTrace) -> bool:
     """Fold the rule table over the trace: each conclusion must be the one its
-    rule draws from the step's inputs and the order the steps before it hold."""
-    order = None
+    rule draws from the step's inputs and the steps before it."""
+    state = _START
     try:
         for step in trace:
-            conclusion, order = _conclusion(step.rule, dict(step.inputs), order)
+            ins = {k: {"True": True, "False": False}[v] if k == "witness" else int(v)
+                   for k, v in step.inputs}
+            conclusion, state = _conclusion(step.rule, ins, state)
             if conclusion is None or conclusion != step.conclusion:
                 return False
     except (KeyError, ValueError):  # a missing or malformed input

@@ -188,15 +188,45 @@ class TestPiOneAfterBlowdown:
             # no kill: nothing makes the complement's pi1 the ambient one
             "dropped kill": _edit(steps, "coprime_kill"),
             "unknown rule": steps[:-1] + (replace(steps[-1], rule="assert_pi1"),),
+            # the kill's premise is missing or refused, yet the argument goes on
+            "dropped witness": _edit(steps, "equal_order_witness"),
+            "refused witness": _edit(steps, "equal_order_witness", "inconclusive",
+                                     witness="False"),
+            # the kill is stated for other chains than the boundary rule bounds
+            "boundary p": _edit(steps, "boundary_order_divides",
+                                "ord(x) | 25, ord(y) | 361", p1="5"),
+            # a ball over another chain than the killed ones
+            "pushout ball": _edit(steps, "pushout_cyclic", "Z2 *_Z25 Z5 = Z2",
+                                  C="5", edge="25"),
+            # no ball glued, or only one: the conclusion does not follow
+            "dropped pushouts": _edit(_edit(steps, "pushout_cyclic"), "pushout_cyclic"),
+            "one pushout": _edit(steps, "pushout_cyclic"),
+            # a refusal ends the argument: nothing may follow it
+            "after unresolved": _edit(steps, "pushout_cyclic", "unresolved", g1="0"),
+            "conclude after unresolved": _edit(steps, "pushout_cyclic", "unresolved",
+                                               last=True, g1="0"),
         }
         for name, forgery in forgeries.items():
             assert not replay_trace(DerivationTrace(forgery)), name
 
 
-def _edit(steps, rule, conclusion=None, **inputs):
-    """The steps with the first step of rule given new inputs and conclusion,
-    or dropped when no conclusion is given."""
-    i = next(i for i, s in enumerate(steps) if s.rule == rule)
+    def test_replay_accepts_refusals(self):
+        from blowdown.fundgroup import DerivationTrace
+        refused = [kill_rule(CyclicGroup(2), 73, 19, False),
+                   kill_rule(CyclicGroup(2), 4, 2, True),
+                   pi1_after_blowdown(CyclicGroup(2), [(5, 1)], True)]
+        for d in refused:
+            assert not d.conclusive and replay_trace(d.trace)
+        steps = pi1_after_blowdown(CyclicGroup(2), [(73, 50), (19, 13)], True).trace.steps
+        # a pushout with no surjective leg is refused, and the refusal replays
+        unresolved = _edit(steps, "pushout_cyclic", "unresolved", last=True, g1="0")
+        assert replay_trace(DerivationTrace(unresolved[:-1]))
+
+
+def _edit(steps, rule, conclusion=None, last=False, **inputs):
+    """The steps with the first (or last) step of rule given new inputs and
+    conclusion, or dropped when no conclusion is given."""
+    i = [i for i, s in enumerate(steps) if s.rule == rule][-1 if last else 0]
     if conclusion is None:
         return steps[:i] + steps[i + 1:]
     ins = tuple(sorted({**dict(steps[i].inputs), **inputs}.items()))
