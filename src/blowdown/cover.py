@@ -23,9 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .configuration import Configuration, Curve, InvariantSet, pair_key
+from .configuration import ChainSearch, Configuration, Curve, InvariantSet, pair_key
+from .hjcf import Chain
 
 
 class CoverError(ValueError):
@@ -180,3 +181,31 @@ def _pair_violations(base: Configuration, cover: Configuration,
             problems.append(f"pullback pairing sum violated for {a}.{b}: cover total "
                             f"{want + excess[a, b]}, expected {want}")
     return problems
+
+
+def lift_chains(cover: Configuration, base_of: Mapping[str, str], base_chains: Sequence[tuple],
+                targets: Sequence[Chain]) -> tuple[ChainSearch, tuple[int, ...]]:
+    """Embed the targets among the lifts of the base chains; give the base
+    chain under each embedding.  A base chain lifts once from each preimage
+    of its first curve, each step moving to the one preimage of the next curve
+    at pairing 1 (none or two end the lift).  Each target takes the least lift
+    with its entries, either way round, that misses those taken before it."""
+    near, lifts = cover.neighbours, []  # (ids, entries, base chain), in both directions
+    for k, chain in enumerate(base_chains):
+        for path in ([x] for x, a in base_of.items() if a == chain[0]):
+            for c in chain[1:]:
+                step = [y for y, v in near[path[-1]].items() if v == 1 and base_of.get(y) == c]
+                if len(step) != 1:
+                    break
+                path.append(step[0])
+            else:
+                entries = tuple(-cover.curves[x].self_int for x in path)
+                lifts += [(tuple(path), entries, k), (tuple(path[::-1]), entries[::-1], k)]
+    used, found = set(), []
+    for t, target in enumerate(targets):
+        hits = [l for l in lifts if l[1] == target.entries and used.isdisjoint(l[0])]
+        if not hits:
+            return ChainSearch(False, (), t), ()
+        found.append(min(hits))
+        used.update(found[-1][0])
+    return ChainSearch(True, tuple(l[0] for l in found)), tuple(l[2] for l in found)

@@ -4,26 +4,23 @@ Runs a parsed scenario through the library end to end: build the surface,
 apply the blow-up program, audit adjunction, and blow down the chains
 (find them, derive their lattice facts, do the surgery, compare with the
 expectations), derive the fundamental group, and (when declared) lift
-everything to the double cover and blow down there the same way.  Failures
-are report content, not exceptions.
+everything to the double cover and blow down there the lifts of the base's
+chains.  Failures are report content, not exceptions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Optional, Sequence
+from typing import Optional
 
-from .configuration import (BlowupError, Configuration, InvariantSet,
-                            adjunction_audit, find_chains, preset, run_program,
-                            set_pairing)
-from .cover import CoverError, lift_configuration, pullback_violations
-from .fundgroup import (CyclicGroup, minus_one_sphere_witness,
-                        pi1_after_blowdown)
+from .configuration import (BlowupError, ChainSearch, Configuration, InvariantSet,
+                            adjunction_audit, find_chains, preset, run_program, set_pairing)
+from .cover import CoverError, lift_chains, lift_configuration, pullback_violations
+from .fundgroup import CyclicGroup, minus_one_sphere_witness, pi1_after_blowdown
 from .lattice import det_exact, gram
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .scenario import Scenario
-from .surgery import (COVER_ASSUMPTIONS, ChainFacts, SurgeryError, chain_facts,
-                      rational_blowdown, smoothing_ledger)
+from .surgery import (COVER_ASSUMPTIONS, SurgeryError, chain_facts, rational_blowdown,
+                      smoothing_ledger)
 
 
 def _build_surface(s: Scenario) -> Configuration:
@@ -47,13 +44,12 @@ def _mismatches(computed: InvariantSet, expect) -> dict:
             for k, v in dict(expect).items() if values[k] != v}
 
 
-def _blowdown(config: Configuration, targets, expect):
-    """Embed the targets, derive the chain facts, blow down, compare.
+def _blowdown(config: Configuration, search: ChainSearch, expect):
+    """Derive the chain facts of a search, blow down, compare.
 
     Returns (facts, result, mismatches, error): facts is None when a target
     has no embedding, result is None when the surgery refuses the chains.
     """
-    search = find_chains(config, targets)
     if not search.found:
         return None, None, None, f"no embedding for target {search.failed_target}"
     facts = chain_facts(config, search.embeddings)
@@ -93,7 +89,7 @@ def verify(s: Scenario, strict: bool = False) -> Report:
     facts = result = None
     if s.chains:
         facts, result, mismatches, error = _blowdown(
-            final, [c for c, _ in s.chains], s.surgery_expect)
+            final, find_chains(final, [c for c, _ in s.chains]), s.surgery_expect)
         if facts is None:
             report.add("chains", FAIL, error=error,
                        targets=[str(c) for c, _ in s.chains])
@@ -146,46 +142,20 @@ def verify(s: Scenario, strict: bool = False) -> Report:
                     derived_pi1 = order
 
     if s.cover is not None:
-        _verify_cover(s, base, final, facts, derived_pi1, report)
+        _verify_cover(s, base, final, [f.ids for f in facts or ()], derived_pi1, report)
 
     return report
 
 
-def _preimage_error(s: Scenario, base_chains: Sequence[ChainFacts],
-                    cover_chains: Sequence[ChainFacts]) -> Optional[str]:
-    """Why the cover chains are not two preimages of each base chain, if so.
-
-    A cover curve lies over the base curve of its split or connected line,
-    a cover blow-up over the base step it lifts; chains match up to reversal.
-    """
-    base_of = s.cover.base_of
-
-    def unoriented(ids) -> tuple[str, ...]:
-        ids = tuple(ids)
-        return min(ids, ids[::-1])
-
-    lifts = Counter(unoriented(base_of[cid] for cid in f.ids) for f in cover_chains)
-    for f in base_chains:
-        n = lifts.pop(unoriented(f.ids), 0)
-        if n != 2:
-            return f"cover: base chain [{', '.join(f.ids)}] has {n} preimage chains, not 2"
-    n = sum(lifts.values())
-    return f"cover: {n} cover chains lie over no base chain" if n else None
-
-
 def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
-                  base_chains: Optional[list[ChainFacts]], base_pi1_order: Optional[int],
+                  base_chains: list[tuple[str, ...]], base_pi1_order: Optional[int],
                   report: Report):
     cov = s.cover
-    try:
-        lifted = lift_configuration(base, cov.decl)
-    except CoverError as err:
-        report.add("cover", FAIL, error=f"cover: {err}")
-        return
     steps = [step for _, *lifts in cov.blowups for step in lifts]
     try:
+        lifted = lift_configuration(base, cov.decl)
         cover_final = run_program(lifted, steps)
-    except BlowupError as err:
+    except (CoverError, BlowupError) as err:
         report.add("cover", FAIL, error=f"cover: {err}")
         return
     doubling = pullback_violations(final, cover_final, cov.base_of)
@@ -199,7 +169,7 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
         "audit_violations": violations,
     }
     ok = not doubling and not violations
-    derived = True  # False: the pi1 order could not be derived
+    short = []  # why the pi1 order cannot be halved: base chains not lifted twice
 
     if cov.gram_ids:
         det = det_exact(gram(cover_final, cov.gram_ids))
@@ -208,7 +178,8 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
         report.assumptions.extend(a.as_dict() for a in COVER_ASSUMPTIONS)
 
     if cov.chains:
-        chains, result, mismatches, error = _blowdown(cover_final, cov.chains, cov.expect)
+        search, under = lift_chains(cover_final, cov.base_of, base_chains, cov.chains)
+        chains, result, mismatches, error = _blowdown(cover_final, search, cov.expect)
         ok = ok and error is None and not mismatches
         if chains is not None:
             payload.update(chain_embeddings=[list(f.ids) for f in chains],
@@ -218,19 +189,19 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
         else:
             payload.update(computed_after_surgery=result.after.as_dict(),
                            expected=dict(cov.expect), mismatches=mismatches)
-        # pi1 of the cover surgery: when the cover chains are the preimages of
-        # the base chains, the induced double covering halves the order
+        # pi1 of the cover surgery: when the cover chains are the two lifts of
+        # each base chain, the induced double covering halves the order
         # derived for the base surgery
         if result is not None and cov.expect_pi1_order is not None:
+            short = [f"cover: base chain [{', '.join(ids)}] has {n} preimage chains, not 2"
+                     for k, ids in enumerate(base_chains) if (n := under.count(k)) != 2]
             if base_pi1_order is None or base_pi1_order % 2:
-                payload["pi1_error"] = (
-                    "cover: base scenario derived no pi1 order to halve"
-                    if base_pi1_order is None else
-                    f"cover: base pi1 order {base_pi1_order} is odd")
+                payload["pi1_error"] = ("cover: base scenario derived no pi1 order to halve"
+                                        if base_pi1_order is None else
+                                        f"cover: base pi1 order {base_pi1_order} is odd")
                 ok = False
-            elif (why := _preimage_error(s, base_chains, chains)) is not None:
-                payload["pi1_error"] = why
-                derived = False
+            elif short:
+                payload["pi1_error"] = short[0]
             else:
                 payload["computed_pi1_order"] = base_pi1_order // 2
                 payload["expected_pi1_order"] = cov.expect_pi1_order
@@ -240,4 +211,4 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
         payload["mismatches"] = _mismatches(cover_final.ambient, cov.expect)
         ok = ok and not payload["mismatches"]
 
-    report.add("cover", FAIL if not ok else PASS if derived else INCONCLUSIVE, **payload)
+    report.add("cover", FAIL if not ok else INCONCLUSIVE if short else PASS, **payload)

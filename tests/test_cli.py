@@ -186,8 +186,9 @@ class TestSmallCommands:
 def _bare_chain(length: int, cover: bool) -> str:
     """An explicit surface with e = 12, sigma = -8 (b2- = 9) that declares
     the Wahl chain C(length + 1, 1) as curves C1..C<length>.  Without cover,
-    [chains] blows it down.  With cover, every curve splits, the double
-    cover (b2- = 19) holds two copies and its [cover] chain blows one down."""
+    [chains] blows it down.  With cover, there is no [chains]; every curve
+    splits, and the double cover (b2- = 19) holds two copies and a [cover]
+    chain that targets one of them."""
     ids = [f"C{i}" for i in range(1, length + 1)]
     entries = [length + 3] + [2] * (length - 1)
     lines = ["schema = 1", "[surface]", "e = 12", "sigma = -8", "pg = 0", "q = 0",
@@ -218,11 +219,12 @@ class TestLedgerInput:
         assert surgery["status"] == "fail"
         assert surgery["error"] == "chains of total length 11 exceed b2- = 9"
 
-    def test_cover_chains_longer_than_b2_minus_fail_the_cover(self, tmp_path, capsys):
+    def test_cover_chains_without_base_chains_fail_the_cover(self, tmp_path, capsys):
+        # the cover blows down only lifts of base chains, and here are none
         assert _verify_text(tmp_path, _bare_chain(20, cover=True)) == 1
         cover = json.loads(capsys.readouterr().out)["sections"]["cover"]
         assert cover["status"] == "fail"
-        assert cover["surgery_error"] == "chains of total length 20 exceed b2- = 19"
+        assert cover["chains_error"] == "no embedding for target 0"
 
     @pytest.mark.parametrize("old, new, message", [
         ("q = 0", "q = 1", "q must be 0 (the invariants assume b1 = 0), got 1"),

@@ -11,8 +11,7 @@ from blowdown.configuration import (Configuration, Curve, InvariantSet, PointSpe
 from blowdown.cover import (CoverError, SplittingDecl, lift_configuration,
                             pullback_violations)
 from blowdown.scenario import parse_scenario
-from blowdown.surgery import ChainFacts
-from blowdown.verify import _preimage_error, verify
+from blowdown.verify import verify
 
 
 def full_split_decl(base, pairings=None):
@@ -143,11 +142,6 @@ class TestLift:
         assert cc.self_int == 0 and cc.genus == 1 and cc.adjunction_defect() == 0
 
 
-def _facts(*chains):
-    # _preimage_error reads only the ids
-    return [ChainFacts(tuple(ids), (), None, True, 1) for ids in chains]
-
-
 class TestCoverPi1:
     """The cover's pi1 order is halved only over preimage chains."""
 
@@ -166,16 +160,67 @@ class TestCoverPi1:
         assert cover["pi1_error"] == \
             "cover: base chain [T1, T5, T6] has 0 preimage chains, not 2"
 
-    def test_preimage_check(self):
-        s = parse_scenario(bundled.text("cover_b2plus3"))
-        base = _facts(("T1", "T5", "T6"), ("E7",))
-        # either orientation; blow-ups map through the lift plan
-        lifts = [("T1a", "T5a", "T6a"), ("T6b", "T5b", "T1b"), ("E7a",), ("E7b",)]
-        assert _preimage_error(s, base, _facts(*lifts)) is None
-        assert _preimage_error(s, base, _facts(*lifts[:3])) == \
-            "cover: base chain [E7] has 1 preimage chains, not 2"
-        assert _preimage_error(s, base, _facts(*lifts, ("S1a",))) == \
-            "cover: 1 cover chains lie over no base chain"
+    @staticmethod
+    def _cover(old, new, **expect):
+        """The cover section of cover_b2plus3 with one cover line replaced
+        and the named cover expectations set."""
+        head, _, tail = bundled.text("cover_b2plus3").partition("[cover]")
+        assert old in tail
+        tail = tail.replace(old, new, 1)
+        for key, value in expect.items():
+            tail = re.sub(rf"^expect {key} = .*$", f"expect {key} = {value}", tail, flags=re.M)
+        return verify(parse_scenario(head + "[cover]" + tail)).sections["cover"]
+
+    def test_reversed_target_takes_the_reversed_lift(self):
+        cover = self._cover("chain = 6,2,2\n", "chain = 2,2,6\n")
+        assert cover["status"] == "pass"
+        assert cover["chain_embeddings"][2:] == [["T6a", "T5a", "T1a"], ["T1b", "T5b", "T6b"]]
+        assert cover["computed_pi1_order"] == 1
+
+    def test_one_lift_dropped_is_inconclusive(self):
+        cover = self._cover("chain = 6,2,2\n", "", e=17, sigma=-9, K2=7)
+        assert cover["mismatches"] == {}
+        assert cover["status"] == "inconclusive"
+        assert cover["chain_embeddings"][2:] == [["T1a", "T5a", "T6a"]]
+        assert cover["pi1_error"] == \
+            "cover: base chain [T1, T5, T6] has 1 preimage chains, not 2"
+
+
+def _two_copies(cover_chains: int) -> str:
+    """An explicit surface with two disjoint copies X and Y of C(4, 1) whose
+    [chains] blows down X; every curve splits, the preimages of Y sorting
+    before those of X, and [cover] declares cover_chains targets 6,2,2."""
+    lines = ["schema = 1", "[surface]", "e = 12", "sigma = -8", "pg = 0", "q = 0",
+             "pi1_order = 2", "[curves]"]
+    sheets = {"X": ("Xa", "Xb"), "Y": ("Aa", "Ab")}
+    for name in sheets:
+        lines += [f"{name}1 = -6 0 4 0", f"{name}2 = -2 0 0 0", f"{name}3 = -2 0 0 0"]
+    lines += ["[pairings]"] + [f"{n}{i}.{n}{i + 1} = 1" for n in sheets for i in (1, 2)]
+    lines += ["[chains]", "chain = 6,2,2", "[cover]"]
+    lines += [f"split {n}{i} -> {a}{i}, {b}{i}" for n, (a, b) in sheets.items()
+              for i in (1, 2, 3)]
+    lines += [f"pairing {s}{i}.{s}{i + 1} = 1" for pair in sheets.values() for s in pair
+              for i in (1, 2)]
+    return "\n".join(lines + ["chain = 6,2,2"] * cover_chains) + "\n"
+
+
+class TestLiftChains:
+    """The cover blows down the lifts of the chains the base blew down."""
+
+    @pytest.mark.parametrize("cover_chains", [1, 2])
+    def test_cover_chains_lie_over_the_base_chain(self, cover_chains):
+        report = verify(parse_scenario(_two_copies(cover_chains)))
+        assert report.sections["chains"]["embeddings"] == [["X1", "X2", "X3"]]
+        cover = report.sections["cover"]
+        assert cover["status"] == "pass"
+        assert cover["chain_embeddings"] == \
+            [["Xa1", "Xa2", "Xa3"], ["Xb1", "Xb2", "Xb3"]][:cover_chains]
+
+    def test_no_base_chain_to_lift(self):
+        text = _two_copies(1).replace("[chains]\nchain = 6,2,2\n", "")
+        cover = verify(parse_scenario(text)).sections["cover"]
+        assert cover["status"] == "fail"
+        assert cover["chains_error"] == "no embedding for target 0"
 
 
 def _verify_text(tmp_path, capsys, text):
@@ -308,3 +353,39 @@ class TestLiftCommutesWithBlowup:
                 f"deck involution violated: {_dot(x, y)} = {v} but {_dot(tx, ty)} = 0"
                 for x, y, tx, ty in ((a + "a", b + "a", a + "b", b + "b"),
                                      (a + "b", b + "a", a + "a", b + "b")))
+
+
+CONNECTED = """schema = 1
+[surface]
+e = 12
+sigma = -8
+pg = 0
+q = 0
+pi1_order = 2
+[curves]
+C = 0 1 0 0
+[blowups]
+E1 = point C
+[cover]
+connected C -> Cc
+blowup E1 -> E1a = point Cc ; E1b = point Cc
+"""
+
+
+class TestConnectedCurve:
+    """A genus-1 curve whose preimage is one connected curve, through cli.main."""
+
+    def test_connected_lift_passes(self, tmp_path, capsys):
+        rc, out, _ = _verify_text(tmp_path, capsys, CONNECTED)
+        report = json.loads(out)
+        assert rc == 0 and report["status"] == "pass"
+        cover = report["sections"]["cover"]
+        assert cover["doubling_violations"] == [] and cover["audit_violations"] == []
+
+    def test_lift_off_the_connected_curve_fails(self, tmp_path, capsys):
+        text = CONNECTED.replace("E1b = point Cc", "E1b = point")
+        rc, out, _ = _verify_text(tmp_path, capsys, text)
+        cover = json.loads(out)["sections"]["cover"]
+        assert rc == 1 and cover["status"] == "fail"
+        assert "pullback pairing sum violated for C.E1: cover total 1, expected 2" in \
+            cover["doubling_violations"]

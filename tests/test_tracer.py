@@ -47,5 +47,5 @@ def test_install_trace_restore(capsys):
         assert getattr(owner, attr) is before[(id(owner), attr)], attr
     layers = tracer.per_layer(1)
     assert layers["scenario.parse_ms"] > 0
-    assert layers["configuration.find_chains_calls"] == 2  # base and cover
+    assert layers["configuration.find_chains_calls"] == 1  # the base; the cover lifts its chains
     assert layers["configuration.blow_up_calls"] == 36  # 12 base steps, 24 cover steps
