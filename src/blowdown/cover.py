@@ -3,29 +3,24 @@
 Which curves split upstairs is monodromy data that cannot be inferred from
 intersection numbers alone, so a lift is driven by a declaration: every base
 curve maps either to two disjoint copies (Split) or to one connected double
-cover (Connected), and the cover's pairing table is declared explicitly.
-pullback_violations checks that the cover lies over the base: preimages
-shaped as _preimage_shape says, for every base pair
-
-    sum of cover pairings over the preimages of {a, b}  =  2 * (a . b),
-
-and every cover pairing equal to that of its image under the deck
-involution, which swaps the two preimages of a split curve.  A lift checks
-the sums only; the involution is checked once, on the blown-up cover.
-
-Ambient invariants double (e, sigma, K^2), the fundamental-group order
-halves, and each base blow-up lifts to exactly two cover blow-ups at the two
-preimages of its centre, so the same check applies after the blow-ups.
+cover (Connected, shape doubled with genus 2g - 1), and the cover's pairing
+table is declared explicitly.  It lies over the base (pullback_violations)
+when, for every base pair, the sum of cover pairings over the preimages of
+{a, b} is 2 * (a . b), and every cover pairing equals that of its image
+under the deck involution tau, which swaps the two preimages of a split
+curve or a base blow-up.  Each base blow-up lifts to two: one over its
+centre and one at that point's tau-image (lift_violations).  Such a pair
+changes the cover over each base pair by twice what the base step does, so
+a cover that lies over its base still does after the program.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .configuration import ChainSearch, Configuration, Curve, InvariantSet, pair_key
+from .configuration import ChainSearch, Configuration, Curve, InvariantSet, PointSpec, pair_key
 from .hjcf import Chain
 
 
@@ -95,7 +90,8 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
         if len(preimages) == 1 and src.genus < 1:
             raise CoverError(f"{base_id!r}: a rational curve has no connected unramified "
                              "double cover; declare a split")
-        shape = _preimage_shape(src, len(preimages))
+        shape = ((src.self_int, src.genus, src.k_degree, src.node_count) if len(preimages) == 2
+                 else (2 * src.self_int, 2 * src.genus - 1, 2 * src.k_degree, 2 * src.node_count))
         for new_id in preimages:
             if new_id in curves:
                 raise CoverError(f"cover curve id {new_id!r} reused")
@@ -113,56 +109,27 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
 
     ambient = InvariantSet(2 * base.ambient.e, 2 * base.ambient.sigma)
     cover = Configuration(curves, pairings, ambient, base.pi1_order // 2)
-    # the curves were just shaped by _preimage_shape, so only pairs can fail
-    problems = _pair_violations(base, cover, decl.base_of)
+    problems = pullback_violations(base, cover, decl.base_of)
     if problems:
         raise CoverError(problems[0])
     return cover
 
 
-def _preimage_shape(c: Curve, sheets: int) -> tuple[int, int, int, int]:
-    """(C.C, genus, K.C, nodes) of each preimage of c: c's own on either of
-    two sheets, doubled with genus 2g - 1 for a connected double cover."""
-    if sheets == 2:
-        return c.self_int, c.genus, c.k_degree, c.node_count
-    return 2 * c.self_int, 2 * c.genus - 1, 2 * c.k_degree, 2 * c.node_count
+def _tau(base_of: Mapping[str, str]) -> dict[str, str]:
+    """The deck involution: it swaps the two cover ids over a base id, fixes a lone one."""
+    first, tau = {}, {}
+    for x, a in base_of.items():
+        y = tau[x] = first.setdefault(a, x)
+        tau[y] = x
+    return tau
 
 
 def pullback_violations(base: Configuration, cover: Configuration,
                         base_of: Mapping[str, str]) -> list[str]:
-    """Where the cover fails to lie over the base (cover id -> base id in
-    base_of); empty means it lies over.  Pair problems come first, in sorted
-    order of the base pair, then curve problems in sorted cover-id order,
-    then cover pairings that differ from the pairing of their image under
-    the deck involution, in sorted order."""
-    problems = _pair_violations(base, cover, base_of)
-    sheets = Counter(base_of.values())
-    shape = {a: _preimage_shape(c, sheets[a]) for a, c in base.curves.items()}
-    for x in sorted(x for x, c in cover.curves.items()
-                    if (c.self_int, c.genus, c.k_degree, c.node_count) != shape[base_of[x]]):
-        problems.append(f"{x} over {base_of[x]}: (C.C, genus, K.C, nodes) "
-                        f"{_preimage_shape(cover.curves[x], 2)}, expected {shape[base_of[x]]}")
-    # the deck involution tau swaps the two preimages of a base curve and
-    # fixes a lone one; a broken pair is named once, from its nonzero side
-    first: dict[str, str] = {}
-    tau: dict[str, str] = {}
-    for x, a in base_of.items():
-        y = tau[x] = first.setdefault(a, x)
-        tau[y] = x
-    swapped = []
-    for (x, y), v in cover.pairings.items():
-        tx, ty = tau[x], tau[y]
-        image = (tx, ty) if tx < ty else (ty, tx)
-        w = cover.pairings.get(image, 0)
-        if v != w and v and (not w or (x, y) < image):
-            swapped.append(f"deck involution violated: {x}.{y} = {v} but "
-                           f"{image[0]}.{image[1]} = {w}")
-    return problems + sorted(swapped)
-
-
-def _pair_violations(base: Configuration, cover: Configuration,
-                     base_of: Mapping[str, str]) -> list[str]:
-    """The pair half of pullback_violations, in sorted order of the base pair."""
+    """Where the cover's pairings fail to lie over the base (cover id -> base
+    id in base_of); empty means they do.  Pair-sum problems come first, in
+    sorted order of the base pair, then the cover pairings that differ from
+    the pairing of their tau-image, in sorted order."""
     # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
     # the pairing between the two preimages of a; only pairs with a pairing can fail
     excess = {key: -2 * v for key, v in base.pairings.items()
@@ -180,6 +147,38 @@ def _pair_violations(base: Configuration, cover: Configuration,
             want = 2 * base.pairing(a, b)
             problems.append(f"pullback pairing sum violated for {a}.{b}: cover total "
                             f"{want + excess[a, b]}, expected {want}")
+    # a broken pair is named once, from its nonzero side
+    tau, swapped = _tau(base_of), []
+    for (x, y), v in cover.pairings.items():
+        image = pair_key(tau[x], tau[y])
+        w = cover.pairings.get(image, 0)
+        if v != w and v and (not w or (x, y) < image):
+            swapped.append(f"deck involution violated: {x}.{y} = {v} but "
+                           f"{image[0]}.{image[1]} = {w}")
+    return problems + sorted(swapped)
+
+
+def _centre(point: PointSpec, rename: Callable[[str], str] = str) -> tuple:
+    """point's incidences, node and consumed intersections, curve ids renamed, in any
+    order; a consume equal to the product of the multiplicities is the default, left out."""
+    m = point.multiplicity
+    return (sorted([(rename(x), k) for x, k in point.incidences]),
+            point.node_of and rename(point.node_of),
+            sorted([(sorted([rename(x), rename(y)]), v)
+                    for (x, y), v in point.pairwise_local if v != m(x) * m(y)]))
+
+
+def lift_violations(steps: Sequence[PointSpec], lifts: Sequence[tuple[str, PointSpec, PointSpec]],
+                    base_of: Mapping[str, str]) -> list[str]:
+    """One message per lift (base step id, a, b) not over its step, in steps' order: a's
+    curves must map one to one onto the step's under base_of, with the same multiplicities,
+    node and consumed intersections, and b must be a's tau-image."""
+    over, tau, problems = base_of.__getitem__, _tau(base_of).__getitem__, []
+    for step, (_, a, b) in zip(steps, lifts):
+        if _centre(a, over) != _centre(step):
+            problems.append(f"lift of {step.new_id}: {a.new_id} does not lie over {step.new_id}")
+        elif _centre(a, tau) != _centre(b):
+            problems.append(f"lift of {step.new_id}: {b.new_id} is not the image of {a.new_id}")
     return problems
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .configuration import (BlowupError, ChainSearch, Configuration, InvariantSet,
                             adjunction_audit, find_chains, preset, run_program, set_pairing)
-from .cover import CoverError, lift_chains, lift_configuration, pullback_violations
+from .cover import CoverError, lift_chains, lift_configuration, lift_violations
 from .fundgroup import CyclicGroup, minus_one_sphere_witness, pi1_after_blowdown
 from .lattice import det_exact, gram
 from .report import FAIL, INCONCLUSIVE, PASS, Report
@@ -142,14 +142,13 @@ def verify(s: Scenario, strict: bool = False) -> Report:
                     derived_pi1 = order
 
     if s.cover is not None:
-        _verify_cover(s, base, final, [f.ids for f in facts or ()], derived_pi1, report)
+        _verify_cover(s, base, [f.ids for f in facts or ()], derived_pi1, report)
 
     return report
 
 
-def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
-                  base_chains: list[tuple[str, ...]], base_pi1_order: Optional[int],
-                  report: Report):
+def _verify_cover(s: Scenario, base: Configuration, base_chains: list[tuple[str, ...]],
+                  base_pi1_order: Optional[int], report: Report):
     cov = s.cover
     steps = [step for _, *lifts in cov.blowups for step in lifts]
     try:
@@ -158,7 +157,7 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
     except (CoverError, BlowupError) as err:
         report.add("cover", FAIL, error=f"cover: {err}")
         return
-    doubling = pullback_violations(final, cover_final, cov.base_of)
+    doubling = lift_violations(s.blowups, cov.blowups, cov.base_of)
     violations = adjunction_audit(cover_final)
 
     payload: dict = {
@@ -180,6 +179,8 @@ def _verify_cover(s: Scenario, base: Configuration, final: Configuration,
     if cov.chains:
         search, under = lift_chains(cover_final, cov.base_of, base_chains, cov.chains)
         chains, result, mismatches, error = _blowdown(cover_final, search, cov.expect)
+        if chains is None and not base_chains:
+            error += ": the base embedded no chain to lift"
         ok = ok and error is None and not mismatches
         if chains is not None:
             payload.update(chain_embeddings=[list(f.ids) for f in chains],

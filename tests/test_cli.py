@@ -224,7 +224,8 @@ class TestLedgerInput:
         assert _verify_text(tmp_path, _bare_chain(20, cover=True)) == 1
         cover = json.loads(capsys.readouterr().out)["sections"]["cover"]
         assert cover["status"] == "fail"
-        assert cover["chains_error"] == "no embedding for target 0"
+        assert cover["chains_error"] == \
+            "no embedding for target 0: the base embedded no chain to lift"
 
     @pytest.mark.parametrize("old, new, message", [
         ("q = 0", "q = 1", "q must be 0 (the invariants assume b1 = 0), got 1"),

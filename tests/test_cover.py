@@ -1,14 +1,15 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from blowdown import bundled
 from blowdown.cli import main
-from blowdown.configuration import (Configuration, Curve, InvariantSet, PointSpec,
-                                    preset, random_program, run_program)
-from blowdown.cover import (CoverError, SplittingDecl, lift_configuration,
+from blowdown.configuration import (BlowupError, Configuration, Curve, InvariantSet,
+                                    PointSpec, preset, random_program, run_program)
+from blowdown.cover import (CoverError, SplittingDecl, lift_configuration, lift_violations,
                             pullback_violations)
 from blowdown.scenario import parse_scenario
 from blowdown.verify import verify
@@ -125,6 +126,17 @@ class TestLift:
         assert msg == ("pullback pairing sum violated for A.C: cover total 1, "
                        "expected 2")
 
+    def test_rejects_broken_deck_involution(self):
+        # the compensating swap: Ab meets Ca in place of Cb and Ba meets Cb in
+        # place of Ca, so both pullback sums hold but tau sends Aa.Ca = 1 to 0
+        ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
+        curves = {cid: Curve(cid, self_int=-2) for cid in "ABC"}
+        base = Configuration(curves, {("A", "C"): 1, ("B", "C"): 1}, ambient, 2)
+        pairs = {("Aa", "Ca"): 1, ("Ab", "Ca"): 1, ("Ba", "Cb"): 1, ("Bb", "Cb"): 1}
+        with pytest.raises(CoverError) as err:
+            lift_configuration(base, full_split_decl(base, pairs))
+        assert str(err.value) == "deck involution violated: Aa.Ca = 1 but Ab.Cb = 0"
+
     def test_connected_rational_rejected(self):
         ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
         base = Configuration({"C": Curve("C", self_int=-2)}, {}, ambient, 2)
@@ -220,7 +232,8 @@ class TestLiftChains:
         text = _two_copies(1).replace("[chains]\nchain = 6,2,2\n", "")
         cover = verify(parse_scenario(text)).sections["cover"]
         assert cover["status"] == "fail"
-        assert cover["chains_error"] == "no embedding for target 0"
+        assert cover["chains_error"] == \
+            "no embedding for target 0: the base embedded no chain to lift"
 
 
 def _verify_text(tmp_path, capsys, text):
@@ -237,17 +250,17 @@ def _line_of(text, prefix):
 
 
 class TestLiesOver:
-    """The blown-up cover must lie over the blown-up base."""
+    """Each lifted blow-up must lie over its base step."""
 
     LIFT_E12 = "blowup E12 -> E12a = point Da9 ; E12b = point Db9"
 
     @pytest.mark.parametrize("name, old, new, named", [
         # a point on no curve, where the base step is on D9
-        ("cover_b2plus3", "E11b = point Db9", "E11b = point", "for D9.E11:"),
-        # both lifts of E12 on Da9: Da9.Da9 = -6 over D9.D9 = -5
-        ("cover_b2plus3", "E12b = point Db9", "E12b = point Da9", "Da9 over D9:"),
+        ("cover_b2plus3", "E11b = point Db9", "E11b = point", "lift of E11:"),
+        # both lifts of E12 on Da9, which tau does not fix
+        ("cover_b2plus3", "E12b = point Db9", "E12b = point Da9", "lift of E12:"),
         # a free point in place of the second node of F
-        ("cover_k3", "E1b = node F2c", "E1b = point", "for E1.F:"),
+        ("cover_k3", "E1b = node F2c", "E1b = point", "lift of E1:"),
     ])
     def test_misplaced_lift_fails(self, tmp_path, capsys, name, old, new, named):
         text = bundled.text(name)
@@ -259,8 +272,8 @@ class TestLiesOver:
 
     def test_deck_involution_probe_fails(self, tmp_path, capsys):
         # S1b meets T1a and S2a meets T1b, with the lifts of E6 and E7 moved
-        # to match: every pullback sum holds, but E6a and E6b, which tau
-        # swaps, both meet T1b
+        # to match: every pullback sum holds, but the declared cover already
+        # breaks tau, so the lift fails before any blow-up
         text = bundled.text("cover_b2plus3")
         for old, new in (("pairing S1b.T1b = 1", "pairing S1b.T1a = 1"),
                          ("pairing S2a.T1a = 1", "pairing S2a.T1b = 1"),
@@ -271,10 +284,7 @@ class TestLiesOver:
         rc, out, _ = _verify_text(tmp_path, capsys, text)
         cover = json.loads(out)["sections"]["cover"]
         assert rc == 1 and cover["status"] == "fail"
-        assert "deck involution violated: E6a.T1b = 1 but E6b.T1a = 0" in \
-            cover["doubling_violations"]
-        assert all(v.startswith("deck involution violated: ")
-                   for v in cover["doubling_violations"])
+        assert cover["error"] == "cover: deck involution violated: S1a.T1a = 1 but S1b.T1b = 0"
 
     def test_step_lifted_twice_exit_two(self, tmp_path, capsys):
         text = bundled.text("cover_b2plus3").replace(
@@ -355,6 +365,142 @@ class TestLiftCommutesWithBlowup:
                                      (a + "b", b + "a", a + "a", b + "b")))
 
 
+class TestLiftViolations:
+    """A lift (a, b) of a base step: a over the step's centre, b its tau-image."""
+
+    # A and B split, C connected; the step blows up a double point of A on
+    # the node of B, consuming 3 of A.B, and E0 is an earlier step
+    BASE_OF = {"Aa": "A", "Ab": "A", "Ba": "B", "Bb": "B", "Cc": "C",
+               "E0a": "E0", "E0b": "E0", "E1a": "E1", "E1b": "E1"}
+    STEP = PointSpec("E1", (("A", 2),), "B", ((("A", "B"), 3),))
+    A = PointSpec("E1a", (("Aa", 2),), "Ba", ((("Aa", "Ba"), 3),))
+    B = PointSpec("E1b", (("Ab", 2),), "Bb", ((("Ab", "Bb"), 3),))
+
+    def check(self, a=A, b=B):
+        return lift_violations([self.STEP], [("E1", a, b)], self.BASE_OF)
+
+    def test_lift_over_its_step(self):
+        assert self.check() == []
+        # the two sheets swapped, and b's consume written the other way round
+        assert self.check(replace(self.B, new_id="E1a"),
+                          replace(self.A, new_id="E1b", pairwise_local=((("Ba", "Aa"), 3),))) == []
+
+    @pytest.mark.parametrize("a", [
+        replace(A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 3),)),  # off the point
+        replace(A, incidences=(("Aa", 2), ("Cc", 1))),  # an extra curve
+        replace(A, incidences=(("Aa", 2), ("Ab", 2))),  # both preimages of A
+        replace(A, incidences=(("Aa", 1),)),            # another multiplicity
+        replace(A, node_of=None, pairwise_local=()),    # no node
+        replace(A, pairwise_local=((("Aa", "Ba"), 4),)),  # another consume value
+        replace(A, pairwise_local=()),                  # the default consume, 2 * 2
+    ])
+    def test_a_off_the_step(self, a):
+        assert self.check(a=a) == ["lift of E1: E1a does not lie over E1"]
+
+    @pytest.mark.parametrize("b", [
+        replace(A, new_id="E1b"),                       # on a's sheet
+        replace(B, node_of="Ba", pairwise_local=((("Ab", "Ba"), 3),)),  # B's node on a's sheet
+        replace(B, incidences=(("Ab", 2), ("Cc", 1))),  # an extra curve
+        replace(B, pairwise_local=((("Ab", "Bb"), 2),)),  # another consume value
+    ])
+    def test_b_not_the_image_of_a(self, b):
+        assert self.check(b=b) == ["lift of E1: E1b is not the image of E1a"]
+
+    def test_consume_equal_to_the_default_matches(self):
+        step = PointSpec("E1", (("A", 1), ("E0", 1)))
+        a = PointSpec("E1a", (("E0a", 1), ("Aa", 1)), pairwise_local=((("Aa", "E0a"), 1),))
+        b = PointSpec("E1b", (("Ab", 1), ("E0b", 1)))
+        assert lift_violations([step], [("E1", a, b)], self.BASE_OF) == []
+        b = PointSpec("E1b", (("Ab", 1), ("E0a", 1)))
+        assert lift_violations([step], [("E1", a, b)], self.BASE_OF) == \
+            ["lift of E1: E1b is not the image of E1a"]
+
+    def test_one_message_per_step_in_base_order(self):
+        e0 = PointSpec("E0", (("C", 1),))
+        off = replace(self.A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 3),))
+        # E0a is a free point; E1a is off its point and E1b on E1a's sheet
+        lifts = [("E0", PointSpec("E0a"), PointSpec("E0b", (("Cc", 1),))),
+                 ("E1", off, replace(self.A, new_id="E1b"))]
+        assert lift_violations([e0, self.STEP], lifts, self.BASE_OF) == \
+            ["lift of E0: E0a does not lie over E0", "lift of E1: E1a does not lie over E1"]
+
+
+def _flip(x):
+    return x[:-1] + ("b" if x[-1] == "a" else "a")
+
+
+def _perturbed(rng, point, cover_ids):
+    """point with one clause changed: a curve moved to the other sheet, a
+    multiplicity raised, a curve dropped or added, a consume value or the
+    node changed."""
+    touched, inc = point.touched(), point.incidences
+    kind = rng.choice(["sheet", "multiplicity", "drop", "consume", "node", "extra"])
+    if kind == "sheet" and touched:
+        x = rng.choice(touched)
+        return replace(point, incidences=tuple((_flip(c) if c == x else c, m) for c, m in inc),
+                       node_of=point.node_of and (_flip(x) if point.node_of == x else point.node_of))
+    if kind == "multiplicity" and inc:
+        k = rng.randrange(len(inc))
+        return replace(point, incidences=tuple((c, m + (j == k)) for j, (c, m) in enumerate(inc)))
+    if kind == "drop" and touched:
+        x = rng.choice(touched)
+        return replace(point, incidences=tuple(e for e in inc if e[0] != x),
+                       node_of=None if point.node_of == x else point.node_of)
+    if kind == "consume" and len(touched) >= 2:
+        default = point.multiplicity(touched[0]) * point.multiplicity(touched[1])
+        value = rng.choice([v for v in range(3) if v != default])
+        return replace(point, pairwise_local=(((touched[0], touched[1]), value),))
+    if kind == "node" and point.node_of:
+        return replace(point, node_of=None, incidences=inc + ((point.node_of, 2),))
+    if kind == "node":
+        return replace(point, node_of=rng.choice([c for c in ("Fa", "Fb") if c not in touched]))
+    extra = rng.choice(sorted(c for c in cover_ids if c not in touched))
+    return replace(point, incidences=inc + ((extra, 1),))
+
+
+class TestStepCheckAgreesWithFullRule:
+    """On random programs with one lift perturbed, the step check and the full
+    rule on the blown-up cover (pullback sums, tau, and each curve's shape
+    against its base curve's) find problems in the same cases."""
+
+    @staticmethod
+    def full_rule(final, cover, base_of):
+        shape = {x: (c.self_int, c.genus, c.k_degree, c.node_count)
+                 for x, c in {**final.curves, **cover.curves}.items()}
+        return pullback_violations(final, cover, base_of) + \
+            [x for x in sorted(cover.curves) if shape[x] != shape[base_of[x]]]
+
+    def test_random_perturbations(self):
+        caught = clean = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            base, steps = random_program(rng)
+            if not steps:
+                continue
+            final = run_program(base, steps)
+            lifts = [(st.new_id, _on_sheet(st, "a"), _on_sheet(st, "b")) for st in steps]
+            i = rng.randrange(len(steps))
+            _, a, b = lifts[i]
+            ids = {c + s for c in [*base.curves, *(st.new_id for st in steps[:i])] for s in "ab"}
+            side = rng.random()
+            if side < 0.15:  # both sheets swapped: still a lift
+                lifts[i] = (steps[i].new_id, replace(b, new_id=a.new_id), replace(a, new_id=b.new_id))
+            elif side < 0.6:
+                lifts[i] = (steps[i].new_id, _perturbed(rng, a, ids), b)
+            else:
+                lifts[i] = (steps[i].new_id, a, _perturbed(rng, b, ids))
+            plan = [x for _, *pair in lifts for x in pair]
+            try:
+                cover, base_of = TestLiftCommutesWithBlowup.lift(base, plan, steps)
+            except BlowupError:
+                continue
+            problems = lift_violations(steps, lifts, base_of)
+            assert bool(problems) == bool(self.full_rule(final, cover, base_of)), (seed, problems)
+            caught += bool(problems)
+            clean += not problems
+        assert caught >= 250 and clean >= 80, (caught, clean)
+
+
 CONNECTED = """schema = 1
 [surface]
 e = 12
@@ -387,5 +533,4 @@ class TestConnectedCurve:
         rc, out, _ = _verify_text(tmp_path, capsys, text)
         cover = json.loads(out)["sections"]["cover"]
         assert rc == 1 and cover["status"] == "fail"
-        assert "pullback pairing sum violated for C.E1: cover total 1, expected 2" in \
-            cover["doubling_violations"]
+        assert cover["doubling_violations"] == ["lift of E1: E1b is not the image of E1a"]
