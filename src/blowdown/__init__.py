@@ -11,7 +11,7 @@ from .configuration import (AdjunctionError, BlowupError, ChainSearch,
                             adjunction_audit, blow_up, find_chains, preset,
                             run_program)
 from .cover import (CoverError, SplittingDecl, lift_configuration,
-                    lift_violations, pullback_violations)
+                    lift_violations, lifted_pairings, pullback_violations)
 from .fundgroup import (CyclicGroup, CyclicHom, Derivation, DerivationTrace,
                         TraceStep, kill_rule, minus_one_sphere_witness,
                         pi1_after_blowdown, pushout_cyclic, replay_trace)

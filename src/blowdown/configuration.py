@@ -114,8 +114,8 @@ class PointSpec:
 
     node_of names a curve blown up at one of its own nodes (local
     multiplicity 2 there).  pairwise_local overrides the local intersection
-    number consumed between two different curves at this point (default is
-    the product of their local multiplicities).  new_id names the
+    number consumed between two different curves at this point (default and
+    least: the product of their local multiplicities).  new_id names the
     exceptional curve introduced by this step.
     """
 
@@ -145,6 +145,10 @@ class PointSpec:
             if pair_key(a, b) in pairs:
                 raise ValueError(f"consumed intersection {a}.{b} named twice at the point")
             pairs.add(pair_key(a, b))
+        for (a, b), v in self.pairwise_local:  # curves through a point meet there m_a * m_b times
+            if v < self.multiplicity(a) * self.multiplicity(b):
+                raise ValueError(f"consumed intersection {a}.{b} = {v} is below the "
+                                 f"{self.multiplicity(a)} * {self.multiplicity(b)} the point gives")
 
     def multiplicity(self, cid: str) -> int:
         if cid == self.node_of:
@@ -273,6 +277,9 @@ def blow_up(config: Configuration, point: PointSpec) -> Configuration:
     for cid in point.touched():
         m = point.multiplicity(cid)
         old = curves[cid]
+        if old.adjunction_defect():  # else the step could cancel what the audit reports
+            raise AdjunctionError(f"blow-up at {point.new_id}: curve {cid!r} has adjunction "
+                                  f"defect {old.adjunction_defect()} before the step")
         node_fix = 1 if cid == point.node_of else 0
         curves[cid] = Curve(old.id, old.self_int - m * m, old.genus,
                             old.k_degree + m, old.node_count - node_fix)

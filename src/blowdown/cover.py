@@ -3,13 +3,13 @@
 Which curves split upstairs is monodromy data that cannot be inferred from
 intersection numbers alone, so a lift is driven by a declaration: every base
 curve maps either to two disjoint copies (Split) or to one connected double
-cover (Connected, shape doubled with genus 2g - 1), and the cover's pairing
-table is declared explicitly.  It lies over the base (pullback_violations)
-when, for every base pair, the sum of cover pairings over the preimages of
-{a, b} is 2 * (a . b), and every cover pairing equals that of its image
-under the deck involution tau, which swaps the two preimages of a split
-curve or a base blow-up.  Each base blow-up lifts to two: one over its
-centre and one at that point's tau-image (lift_violations).  Such a pair
+cover (Connected, shape doubled with genus 2g - 1).  The deck involution tau
+swaps the two preimages of a split curve, and the cover pairings over a base
+pair a.b = k sum to 2k.  So the cover's table follows from the base's
+(lifted_pairings): for split X and Y, Xa.Ya = Xb.Yb = s and Xa.Yb = Xb.Ya =
+k - s, with the sheet count s stated; otherwise each pairing over a.b is k,
+or 2k between connected curves.  Each base blow-up lifts to two: one over
+its centre and one at that point's tau-image (lift_violations).  Such a pair
 changes the cover over each base pair by twice what the base step does, so
 a cover that lies over its base still does after the program.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .configuration import ChainSearch, Configuration, Curve, InvariantSet, PointSpec, pair_key
 from .hjcf import Chain
@@ -30,11 +30,9 @@ class CoverError(ValueError):
 
 @dataclass(frozen=True)
 class SplittingDecl:
-    """Lift declaration: preimage names per base curve plus cover pairings.
-
-    Each pairing key (a, b) has a < b.  build also sorts the entries; the
-    scenario parser keeps them in file order.
-    """
+    """Lift declaration: preimage names per base curve, a split's sheet a first, and
+    stated cover pairings (constraints of lifted_pairings) keyed (a, b) with a < b.
+    build sorts the entries; the scenario parser keeps them in file order."""
 
     splits: tuple[tuple[str, tuple[str, str]], ...]
     connected: tuple[tuple[str, str], ...] = ()
@@ -97,22 +95,49 @@ def lift_configuration(base: Configuration, decl: SplittingDecl) -> Configuratio
                 raise CoverError(f"cover curve id {new_id!r} reused")
             curves[new_id] = Curve(new_id, *shape)
 
-    pairings: dict[tuple[str, str], int] = {}
-    for (a, b), v in decl.pairings:  # keys already sorted
-        if a not in curves or b not in curves:
-            cid = a if a not in curves else b
-            raise CoverError(f"cover pairing names unknown curve {cid!r}")
-        if v < 0:
-            raise CoverError(f"negative cover pairing {a}.{b}")
-        if v:
-            pairings[a, b] = v
-
+    pairings, failed = lifted_pairings(base, decl.base_of, decl.pairings)
+    if failed:
+        raise CoverError(min(failed))
     ambient = InvariantSet(2 * base.ambient.e, 2 * base.ambient.sigma)
-    cover = Configuration(curves, pairings, ambient, base.pi1_order // 2)
-    problems = pullback_violations(base, cover, decl.base_of)
-    if problems:
-        raise CoverError(problems[0])
-    return cover
+    return Configuration(curves, pairings, ambient, base.pi1_order // 2)
+
+
+def lifted_pairings(base: Configuration, base_of: Mapping[str, str],
+                    stated: Collection[tuple[tuple[str, str], int]]) -> tuple[dict, list[str]]:
+    """The cover's table over base (cover id -> base id, a split's sheet a first)
+    and what fails: a split pair a.b = k with no stated line, or whose first
+    one gives s outside 0..k, and each stated line that differs from the table."""
+    pre: dict[str, list[str]] = {}
+    for x, a in base_of.items():
+        pre.setdefault(a, []).append(x)
+    first: dict[tuple[str, str], tuple] = {}  # base pair -> its first stated line
+    try:
+        for line in stated:
+            a, b = base_of[line[0][0]], base_of[line[0][1]]
+            first.setdefault((a, b) if a < b else (b, a), line)
+    except KeyError as err:
+        raise CoverError(f"cover pairing names unknown curve {err.args[0]!r}") from None
+    table, failed = {}, []
+    for (a, b), k in base.pairings.items():
+        xs, ys = pre.get(a, ()), pre.get(b, ())
+        if len(xs) == 2 == len(ys) and k > 0:
+            if (a, b) not in first:
+                failed.append(f"split pair {a}.{b} = {k} has no stated cover pairing")
+                continue
+            (x, y), v = first[a, b]
+            s = v if (x in (xs[0], ys[0])) == (y in (xs[0], ys[0])) else k - v  # same sheet
+            if not 0 <= s <= k:
+                failed.append(f"cover pairing {x}.{y} = {v} is outside 0..{k}, over {a}.{b}")
+            cells = [(xs[0], ys[0], s), (xs[1], ys[1], s),
+                     (xs[0], ys[1], k - s), (xs[1], ys[0], k - s)]
+        else:
+            cells = [(x, y, 2 * k // (len(xs) * len(ys))) for x in xs for y in ys]
+        for x, y, w in cells:
+            if w > 0:
+                table[(x, y) if x < y else (y, x)] = w
+    failed += [f"cover pairing {x}.{y} = {v} does not lie over the base: the lift gives {w}"
+               for (x, y), v in stated if (w := table.get((x, y), 0)) != v]
+    return table, failed
 
 
 def _tau(base_of: Mapping[str, str]) -> dict[str, str]:
@@ -126,36 +151,11 @@ def _tau(base_of: Mapping[str, str]) -> dict[str, str]:
 
 def pullback_violations(base: Configuration, cover: Configuration,
                         base_of: Mapping[str, str]) -> list[str]:
-    """Where the cover's pairings fail to lie over the base (cover id -> base
-    id in base_of); empty means they do.  Pair-sum problems come first, in
-    sorted order of the base pair, then the cover pairings that differ from
-    the pairing of their tau-image, in sorted order."""
-    # excess[(a, b)] is the cover total minus 2 * (a . b), and excess[(a, "")]
-    # the pairing between the two preimages of a; only pairs with a pairing can fail
-    excess = {key: -2 * v for key, v in base.pairings.items()
-              if key[0] in base.curves and key[1] in base.curves}
-    for (x, y), v in cover.pairings.items():
-        a, b = base_of[x], base_of[y]
-        key = (a, "") if a == b else (a, b) if a < b else (b, a)
-        excess[key] = excess.get(key, 0) + v
-    problems = []
-    for a, b in sorted(key for key, d in excess.items() if d):
-        if not b:
-            problems.append(f"the two preimages of split curve {a!r} must be disjoint "
-                            "(their self-intersections already account for the pullback)")
-        else:
-            want = 2 * base.pairing(a, b)
-            problems.append(f"pullback pairing sum violated for {a}.{b}: cover total "
-                            f"{want + excess[a, b]}, expected {want}")
-    # a broken pair is named once, from its nonzero side
-    tau, swapped = _tau(base_of), []
-    for (x, y), v in cover.pairings.items():
-        image = pair_key(tau[x], tau[y])
-        w = cover.pairings.get(image, 0)
-        if v != w and v and (not w or (x, y) < image):
-            swapped.append(f"deck involution violated: {x}.{y} = {v} but "
-                           f"{image[0]}.{image[1]} = {w}")
-    return problems + sorted(swapped)
+    """Where the cover's pairings fail to lie over the base (cover id -> base id in base_of),
+    sorted: what lifted_pairings finds with them as stated lines and a 0 for each one lacked."""
+    table, _ = lifted_pairings(base, base_of, cover.pairings.items())
+    stated = [*cover.pairings.items(), *((key, 0) for key in table.keys() - cover.pairings.keys())]
+    return sorted(lifted_pairings(base, base_of, stated)[1])
 
 
 def _centre(point: PointSpec, rename: Callable[[str], str] = str) -> tuple:
@@ -170,16 +170,20 @@ def _centre(point: PointSpec, rename: Callable[[str], str] = str) -> tuple:
 
 def lift_violations(steps: Sequence[PointSpec], lifts: Sequence[tuple[str, PointSpec, PointSpec]],
                     base_of: Mapping[str, str]) -> list[str]:
-    """One message per lift (base step id, a, b) not over its step, in steps' order: a's
-    curves must map one to one onto the step's under base_of, with the same multiplicities,
-    node and consumed intersections, and b must be a's tau-image."""
+    """One message per base step, in order, whose lift (step id, a, b) is missing or off it,
+    then one per lift of no step.  a's curves must map one to one onto the step's under
+    base_of, with its multiplicities, node and consumed intersections; b is a's tau-image."""
     over, tau, problems = base_of.__getitem__, _tau(base_of).__getitem__, []
-    for step, (_, a, b) in zip(steps, lifts):
-        if _centre(a, over) != _centre(step):
+    pending = {step_id: (a, b) for step_id, a, b in lifts}
+    for step in steps:
+        a, b = pending.pop(step.new_id, (None, None))
+        if a is None:
+            problems.append(f"lift of {step.new_id}: none given")
+        elif _centre(a, over) != _centre(step):
             problems.append(f"lift of {step.new_id}: {a.new_id} does not lie over {step.new_id}")
         elif _centre(a, tau) != _centre(b):
             problems.append(f"lift of {step.new_id}: {b.new_id} is not the image of {a.new_id}")
-    return problems
+    return problems + [f"lift of {step_id}: no base step {step_id}" for step_id in pending]
 
 
 def lift_chains(cover: Configuration, base_of: Mapping[str, str], base_chains: Sequence[tuple],

@@ -29,7 +29,7 @@ base blow-up with no lift in [cover] is an error at its own line::
     E2 = point S1, F                 # transverse intersection point
     E3 = point S1*2                  # local multiplicity (needs a matching node)
     E4 = point                       # point on no curve
-    E5 = point S1, F consume S1.F=2  # override the local S1.F consumed (>= 0; both at the point)
+    E5 = point S1, F consume S1.F=2  # override the S1.F consumed (>= 1 * 1; both at the point)
     [chains]
     chain = 2,2,9,2,2,2,2,4 expect 19,13
     [surgery]
@@ -40,7 +40,7 @@ base blow-up with no lift in [cover] is an error at its own line::
     [cover]
     split F -> F1, F2
     connected X -> Xbar
-    pairing F1.T1 = 1
+    pairing F1.T1 = 1                # a constraint; one per split pair that meets; rest derived
     blowup E1 -> C1 = node F1 ; C2 = node F2   # (once) per [blowups] step, each lifted
     chain = 6,2,2
     expect e = 14                    # (once) each: the [surgery] keys and pi1_order

@@ -104,6 +104,30 @@ class TestVerifyCommand:
         assert f"line {lineno}: consumed intersection " in err
         assert "named twice at the point" in err
 
+    def test_consume_below_the_multiplicities_exit_two(self, tmp_path, capsys):
+        # S2 and F each pass once through k6, so they meet there at least once
+        text = bundled.text("k2_4_pi2")
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if "k6 = " in line)
+        p = tmp_path / "consume.scn"
+        p.write_text(text.replace("k6 = point S2, F", "k6 = point S2, F consume S2.F=0"))
+        rc = main(["verify", str(p), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"line {lineno}: consumed intersection F.S2 = 0 is below the 1 * 1 " in err
+
+    def test_blowup_cannot_cancel_an_adjunction_defect(self, tmp_path, capsys):
+        # X's defect is 2; blowing up a double point of X would bring it to 0
+        text = bundled.text("k2_4_pi2").replace("[curves]\n", "[curves]\nX = -2 0 2 0\n")
+        steps = sum(1 for line in text.split("[blowups]")[1].split("[")[0].splitlines()
+                    if "=" in line)
+        p = tmp_path / "defect.scn"
+        p.write_text(text.replace("k7 = point S2, F\n", "k7 = point S2, F\nz = point X*2\n"))
+        rc = main(["verify", str(p), "--format", "json"])
+        blowups = json.loads(capsys.readouterr().out)["sections"]["blowups"]
+        assert rc == 1 and blowups["status"] == "fail"
+        assert blowups["error"] == (f"step {steps + 1} (z): blow-up at z: curve 'X' has "
+                                    "adjunction defect 2 before the step")
+
     def test_strict_flags_missing_expectations(self, tmp_path):
         p = tmp_path / "bare.scn"
         p.write_text("schema = 1\n[surface]\npreset = enriques_kondo\n")

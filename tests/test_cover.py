@@ -2,17 +2,20 @@ import json
 import random
 import re
 from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from blowdown import bundled
 from blowdown.cli import main
 from blowdown.configuration import (BlowupError, Configuration, Curve, InvariantSet,
-                                    PointSpec, preset, random_program, run_program)
+                                    PointSpec, pair_key, preset, random_program, run_program)
 from blowdown.cover import (CoverError, SplittingDecl, lift_configuration, lift_violations,
                             pullback_violations)
 from blowdown.scenario import parse_scenario
-from blowdown.verify import verify
+from blowdown.verify import _build_surface, verify
+from pullback_reference import reference_violations
 
 
 def full_split_decl(base, pairings=None):
@@ -85,10 +88,15 @@ class TestLift:
 
     def test_rejects_bad_pullback_sum(self):
         base = preset("enriques_kondo")
-        pairs = cycle_pairs("a")  # missing the b-cycle: sums are 1, not 2
-        pairs[("D1b", "D2b")] = 0
-        with pytest.raises(CoverError, match="pullback"):
+        pairs = cycle_pairs("a")  # the a-cycle alone derives the b-cycle
+        lifted = lift_configuration(base, full_split_decl(base, pairs))
+        assert lifted.pairings == {tuple(sorted(key)): 1
+                                   for key in {**cycle_pairs("a"), **cycle_pairs("b")}}
+        pairs[("D1b", "D2b")] = 0  # so D1.D2 would lift to a total of 1, not 2
+        with pytest.raises(CoverError) as err:
             lift_configuration(base, full_split_decl(base, pairs))
+        assert str(err.value) == \
+            "cover pairing D1b.D2b = 0 does not lie over the base: the lift gives 1"
 
     def test_rejects_meeting_preimages(self):
         base = preset("enriques_kondo")
@@ -96,8 +104,10 @@ class TestLift:
         pairs.update(cycle_pairs("a"))
         pairs.update(cycle_pairs("b"))
         pairs[("Fa", "Fb")] = 1
-        with pytest.raises(CoverError, match="disjoint"):
+        with pytest.raises(CoverError) as err:
             lift_configuration(base, full_split_decl(base, pairs))
+        assert str(err.value) == \
+            "cover pairing Fa.Fb = 1 does not lie over the base: the lift gives 0"
 
     def test_first_error_in_sorted_order(self):
         # A, B, C are split (-2)-curves with A.C = 1 and B.C = 1 downstairs
@@ -113,18 +123,25 @@ class TestLift:
             return str(err.value)
 
         lift_configuration(base, full_split_decl(base, good))
-        # A's own preimages meet: reported before any pair (A, *)
+        # the messages sort by the cover pairing they name: Aa.Ab before Ab.Cb
         msg = first_error({("Aa", "Ab"): 1, ("Ab", "Cb"): 2})
-        assert "split curve 'A'" in msg
-        # the pair (A, B) comes before B's own preimages
+        assert msg == "cover pairing Aa.Ab = 1 does not lie over the base: the lift gives 0"
+        # Aa.Ba, over A.B = 0, before Ba.Bb
         msg = first_error({("Ba", "Bb"): 1, ("Aa", "Ba"): 1})
-        assert msg == ("pullback pairing sum violated for A.B: cover total 1, "
-                       "expected 0")
-        # (A, C) before (B, C), both before C's own preimages
-        msg = first_error({("Ca", "Cb"): 1, ("Bb", "Cb"): 0,
-                             ("Ab", "Cb"): 0})
-        assert msg == ("pullback pairing sum violated for A.C: cover total 1, "
-                       "expected 2")
+        assert msg == "cover pairing Aa.Ba = 1 does not lie over the base: the lift gives 0"
+        # Ab.Cb before Bb.Cb and Ca.Cb; Aa.Ca and Ba.Ca give each pair's s
+        msg = first_error({("Ca", "Cb"): 1, ("Bb", "Cb"): 0, ("Ab", "Cb"): 0})
+        assert msg == "cover pairing Ab.Cb = 0 does not lie over the base: the lift gives 1"
+        # a pair with no line, which sorts after every failing line
+        for extra, first in (({}, "split pair A.C = 1 has no stated cover pairing"),
+                             ({("Ba", "Bb"): 1}, "cover pairing Ba.Bb = 1 does not lie over "
+                                                 "the base: the lift gives 0")):
+            with pytest.raises(CoverError) as err:
+                lift_configuration(base, full_split_decl(base, {("Ba", "Ca"): 1, **extra}))
+            assert str(err.value) == first
+        # s outside 0..k, read off the pair's first line
+        msg = first_error({("Aa", "Ca"): 2, ("Ab", "Cb"): 2})
+        assert msg == "cover pairing Aa.Ca = 2 is outside 0..1, over A.C"
 
     def test_rejects_broken_deck_involution(self):
         # the compensating swap: Ab meets Ca in place of Cb and Ba meets Cb in
@@ -135,7 +152,9 @@ class TestLift:
         pairs = {("Aa", "Ca"): 1, ("Ab", "Ca"): 1, ("Ba", "Cb"): 1, ("Bb", "Cb"): 1}
         with pytest.raises(CoverError) as err:
             lift_configuration(base, full_split_decl(base, pairs))
-        assert str(err.value) == "deck involution violated: Aa.Ca = 1 but Ab.Cb = 0"
+        # s = 1 from Aa.Ca, the pair's first line, so Ab.Ca must be 0
+        assert str(err.value) == \
+            "cover pairing Ab.Ca = 1 does not lie over the base: the lift gives 0"
 
     def test_connected_rational_rejected(self):
         ambient = InvariantSet.from_base(e=12, sigma=-8, pg=0, q=0)
@@ -249,6 +268,131 @@ def _line_of(text, prefix):
     return next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(prefix))
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def long_form(name):
+    """A bundled cover with its pairing lines replaced by every pairing of its
+    lifted table, in sorted order, where its blow-up lifts begin."""
+    text = bundled.text(name)
+    scenario = parse_scenario(text)
+    lifted = lift_configuration(_build_surface(scenario), scenario.cover.decl)
+    lines = [line for line in text.splitlines() if not line.startswith("pairing ")]
+    at = next(i for i, line in enumerate(lines) if line.startswith("blowup "))
+    table = [f"pairing {x}.{y} = {v}" for (x, y), v in sorted(lifted.pairings.items())]
+    return "\n".join(lines[:at] + table + lines[at:]) + "\n"
+
+
+class TestDerivedPairings:
+    """One stated line per split pair; the lift derives the other pairings."""
+
+    @pytest.mark.parametrize("name, short, full", [("cover_k3", 15, 34),
+                                                   ("cover_b2plus3", 24, 54)])
+    def test_short_and_long_forms_give_the_goldens(self, name, short, full):
+        for text, count in ((bundled.text(name), short), (long_form(name), full)):
+            assert sum(line.startswith("pairing ") for line in text.splitlines()) == count
+            report = verify(parse_scenario(text))
+            assert report.to_json().encode() == (GOLDEN / f"{name}.json").read_bytes()
+            assert report.to_text().encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+    def test_scaled_lines_dropped_keep_the_report(self):
+        # scaled_5 states Xa.Ya and Xb.Yb for each of its 304 split pairs
+        lines = (GOLDEN / "scaled_5.scn").read_text(encoding="utf-8").splitlines(keepends=True)
+        pairs: dict[tuple, list[int]] = {}
+        for i, line in enumerate(lines):
+            if line.startswith("pairing "):
+                x, y = line.split()[1].split(".")
+                pairs.setdefault((x[:-1], y[:-1]), []).append(i)
+        assert len(pairs) == 304 and sum(map(len, pairs.values())) == 608
+        want = (GOLDEN / "scaled_5.json").read_bytes()
+        for seed in range(3):
+            rng = random.Random(seed)
+            dropped = {i for idx in pairs.values() for i in rng.sample(idx, rng.randrange(len(idx)))}
+            assert dropped
+            text = "".join(line for i, line in enumerate(lines) if i not in dropped)
+            assert verify(parse_scenario(text)).to_json().encode() == want
+
+    @pytest.mark.parametrize("old, new, error", [
+        # a pair with no line
+        ("pairing S1a.F1c = 1\n", "", "split pair F.S1 = 2 has no stated cover pairing"),
+        # s > k
+        ("pairing S1a.F1c = 1", "pairing S1a.F1c = 3", "cover pairing F1c.S1a = 3 is outside "
+                                                       "0..2, over F.S1"),
+        # the tau probe: two lines of one pair that disagree (s = 1, then s = 0)
+        ("pairing S1a.F1c = 1", "pairing S1a.F1c = 1\npairing S1b.F2c = 0",
+         "cover pairing F2c.S1b = 0 does not lie over the base: the lift gives 1"),
+        # the same two lines the other way round: the first line gives s
+        ("pairing S1a.F1c = 1", "pairing S1b.F2c = 0\npairing S1a.F1c = 1",
+         "cover pairing F1c.S1a = 1 does not lie over the base: the lift gives 0"),
+        # the two preimages of one split curve meet
+        ("pairing S1a.F1c = 1", "pairing S1a.F1c = 1\npairing S1a.S1b = 1",
+         "cover pairing S1a.S1b = 1 does not lie over the base: the lift gives 0"),
+    ])
+    def test_failure_names_the_pair(self, tmp_path, capsys, old, new, error):
+        text = bundled.text("cover_k3")
+        assert old in text
+        rc, out, _ = _verify_text(tmp_path, capsys, text.replace(old, new))
+        cover = json.loads(out)["sections"]["cover"]
+        assert rc == 1 and cover == {"status": "fail", "error": f"cover: {error}"}
+
+    def test_unknown_cover_curve(self):
+        base = preset("enriques_kondo")
+        with pytest.raises(CoverError, match="names unknown curve 'Xa'"):
+            lift_configuration(base, full_split_decl(base, {("D1a", "Xa"): 1}))
+
+
+def _random_cover(rng):
+    """A random base of split (-2)-curves and connected genus-1 or -2 curves,
+    its declaration, and a random full cover table: derived from random sheet
+    counts, then changed in zero to two cells."""
+    ids = [f"C{i}" for i in range(rng.randint(2, 5))]
+    curves = {c: Curve(c, -2) if rng.random() < 0.7 else Curve(c, 0, rng.randint(1, 2))
+              for c in ids}
+    pairings = {(a, b): rng.randint(1, 3) for a, b in combinations(ids, 2) if rng.random() < 0.6}
+    base = Configuration(curves, pairings, InvariantSet(12, -8), 2)
+    pre = {c: (c + "a", c + "b") if curves[c].genus == 0 else (c + "c",) for c in ids}
+    decl = SplittingDecl.build({c: p for c, p in pre.items() if len(p) == 2},
+                               connected={c: p[0] for c, p in pre.items() if len(p) == 1})
+    table = dict.fromkeys(combinations(sorted(decl.base_of), 2), 0)
+    for (a, b), k in pairings.items():
+        if len(pre[a]) == len(pre[b]) == 2:
+            s = rng.randint(0, k)
+            for (x, y), v in zip(((0, 0), (1, 1), (0, 1), (1, 0)), (s, s, k - s, k - s)):
+                table[pair_key(pre[a][x], pre[b][y])] = v
+        else:
+            for x in pre[a]:
+                for y in pre[b]:
+                    table[pair_key(x, y)] = 2 * k // (len(pre[a]) * len(pre[b]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        key = rng.choice(sorted(table))
+        table[key] = max(0, table[key] + rng.choice([-2, -1, 1, 2]))
+    return base, decl, table
+
+
+class TestDerivationAgreesWithReference:
+    """On random bases and full tables, the derived table and the three-clause
+    reference (pair sums, disjoint preimages, tau) accept the same tables."""
+
+    def test_random_tables(self):
+        accepted = rejected = 0
+        for seed in range(1500):
+            base, decl, table = _random_cover(random.Random(seed))
+            pairings = {key: v for key, v in table.items() if v}
+            cover = Configuration({}, pairings, base.ambient, 1)  # only its pairings are read
+            ok = not reference_violations(base, cover, decl.base_of)
+            assert ok == (not pullback_violations(base, cover, decl.base_of)), seed
+            stated = SplittingDecl(decl.splits, decl.connected, tuple(table.items()))
+            try:
+                lifted = lift_configuration(base, stated)
+            except CoverError:
+                assert not ok, seed
+                rejected += 1
+            else:
+                assert ok and lifted.pairings == pairings, seed
+                accepted += 1
+        assert accepted >= 400 and rejected >= 400, (accepted, rejected)
+
+
 class TestLiesOver:
     """Each lifted blow-up must lie over its base step."""
 
@@ -273,8 +417,9 @@ class TestLiesOver:
     def test_deck_involution_probe_fails(self, tmp_path, capsys):
         # S1b meets T1a and S2a meets T1b, with the lifts of E6 and E7 moved
         # to match: every pullback sum holds, but the declared cover already
-        # breaks tau, so the lift fails before any blow-up
-        text = bundled.text("cover_b2plus3")
+        # breaks tau, so the lift fails before any blow-up.  S1a.T1a, the
+        # first line over S1.T1, gives s = 1, so S1b.T1a must be 0
+        text = long_form("cover_b2plus3")
         for old, new in (("pairing S1b.T1b = 1", "pairing S1b.T1a = 1"),
                          ("pairing S2a.T1a = 1", "pairing S2a.T1b = 1"),
                          ("E6a = point S2a, T1a", "E6a = point S2a, T1b"),
@@ -284,7 +429,8 @@ class TestLiesOver:
         rc, out, _ = _verify_text(tmp_path, capsys, text)
         cover = json.loads(out)["sections"]["cover"]
         assert rc == 1 and cover["status"] == "fail"
-        assert cover["error"] == "cover: deck involution violated: S1a.T1a = 1 but S1b.T1b = 0"
+        assert cover["error"] == \
+            "cover: cover pairing S1b.T1a = 1 does not lie over the base: the lift gives 0"
 
     def test_step_lifted_twice_exit_two(self, tmp_path, capsys):
         text = bundled.text("cover_b2plus3").replace(
@@ -358,23 +504,26 @@ class TestLiftCommutesWithBlowup:
             v = final.pairing(a, b)
             swapped = cover.with_pairing(a + "b", b + "b", 0).with_pairing(a + "b", b + "a", v)
             problems = pullback_violations(final, swapped, base_of)
-            # tau sends aa.ba = v to ab.bb = 0, and the new ab.ba = v to aa.bb = 0
+            assert reference_violations(final, swapped, base_of), seed
+            # aa.ba = v, the pair's first line in the table, gives s = v: the
+            # new ab.ba = v fails, and so does ab.bb, which the table lacks
             assert problems == sorted(
-                f"deck involution violated: {_dot(x, y)} = {v} but {_dot(tx, ty)} = 0"
-                for x, y, tx, ty in ((a + "a", b + "a", a + "b", b + "b"),
-                                     (a + "b", b + "a", a + "a", b + "b")))
+                [f"cover pairing {_dot(a + 'b', b + 'a')} = {v} does not lie over the base: "
+                 "the lift gives 0",
+                 f"cover pairing {_dot(a + 'b', b + 'b')} = 0 does not lie over the base: "
+                 f"the lift gives {v}"])
 
 
 class TestLiftViolations:
     """A lift (a, b) of a base step: a over the step's centre, b its tau-image."""
 
     # A and B split, C connected; the step blows up a double point of A on
-    # the node of B, consuming 3 of A.B, and E0 is an earlier step
+    # the node of B, consuming 5 of A.B, and E0 is an earlier step
     BASE_OF = {"Aa": "A", "Ab": "A", "Ba": "B", "Bb": "B", "Cc": "C",
                "E0a": "E0", "E0b": "E0", "E1a": "E1", "E1b": "E1"}
-    STEP = PointSpec("E1", (("A", 2),), "B", ((("A", "B"), 3),))
-    A = PointSpec("E1a", (("Aa", 2),), "Ba", ((("Aa", "Ba"), 3),))
-    B = PointSpec("E1b", (("Ab", 2),), "Bb", ((("Ab", "Bb"), 3),))
+    STEP = PointSpec("E1", (("A", 2),), "B", ((("A", "B"), 5),))
+    A = PointSpec("E1a", (("Aa", 2),), "Ba", ((("Aa", "Ba"), 5),))
+    B = PointSpec("E1b", (("Ab", 2),), "Bb", ((("Ab", "Bb"), 5),))
 
     def check(self, a=A, b=B):
         return lift_violations([self.STEP], [("E1", a, b)], self.BASE_OF)
@@ -383,15 +532,15 @@ class TestLiftViolations:
         assert self.check() == []
         # the two sheets swapped, and b's consume written the other way round
         assert self.check(replace(self.B, new_id="E1a"),
-                          replace(self.A, new_id="E1b", pairwise_local=((("Ba", "Aa"), 3),))) == []
+                          replace(self.A, new_id="E1b", pairwise_local=((("Ba", "Aa"), 5),))) == []
 
     @pytest.mark.parametrize("a", [
-        replace(A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 3),)),  # off the point
+        replace(A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 5),)),  # off the point
         replace(A, incidences=(("Aa", 2), ("Cc", 1))),  # an extra curve
         replace(A, incidences=(("Aa", 2), ("Ab", 2))),  # both preimages of A
         replace(A, incidences=(("Aa", 1),)),            # another multiplicity
         replace(A, node_of=None, pairwise_local=()),    # no node
-        replace(A, pairwise_local=((("Aa", "Ba"), 4),)),  # another consume value
+        replace(A, pairwise_local=((("Aa", "Ba"), 6),)),  # another consume value
         replace(A, pairwise_local=()),                  # the default consume, 2 * 2
     ])
     def test_a_off_the_step(self, a):
@@ -399,9 +548,9 @@ class TestLiftViolations:
 
     @pytest.mark.parametrize("b", [
         replace(A, new_id="E1b"),                       # on a's sheet
-        replace(B, node_of="Ba", pairwise_local=((("Ab", "Ba"), 3),)),  # B's node on a's sheet
+        replace(B, node_of="Ba", pairwise_local=((("Ab", "Ba"), 5),)),  # B's node on a's sheet
         replace(B, incidences=(("Ab", 2), ("Cc", 1))),  # an extra curve
-        replace(B, pairwise_local=((("Ab", "Bb"), 2),)),  # another consume value
+        replace(B, pairwise_local=((("Ab", "Bb"), 6),)),  # another consume value
     ])
     def test_b_not_the_image_of_a(self, b):
         assert self.check(b=b) == ["lift of E1: E1b is not the image of E1a"]
@@ -417,12 +566,35 @@ class TestLiftViolations:
 
     def test_one_message_per_step_in_base_order(self):
         e0 = PointSpec("E0", (("C", 1),))
-        off = replace(self.A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 3),))
+        off = replace(self.A, incidences=(("Cc", 2),), pairwise_local=((("Cc", "Ba"), 5),))
         # E0a is a free point; E1a is off its point and E1b on E1a's sheet
         lifts = [("E0", PointSpec("E0a"), PointSpec("E0b", (("Cc", 1),))),
                  ("E1", off, replace(self.A, new_id="E1b"))]
         assert lift_violations([e0, self.STEP], lifts, self.BASE_OF) == \
             ["lift of E0: E0a does not lie over E0", "lift of E1: E1a does not lie over E1"]
+
+
+    def test_lifts_are_matched_by_step_id(self):
+        e0 = PointSpec("E0", (("C", 1),))
+        lifts = [("E1", self.A, self.B), ("E0", PointSpec("E0a", (("Cc", 1),)),
+                                          PointSpec("E0b", (("Cc", 1),)))]
+        assert lift_violations([e0, self.STEP], lifts, self.BASE_OF) == []
+        # E1's lift given before E0's, with E0a off its point: E0 is named, not E1
+        lifts[1] = ("E0", PointSpec("E0a"), lifts[1][2])
+        assert lift_violations([e0, self.STEP], lifts, self.BASE_OF) == \
+            ["lift of E0: E0a does not lie over E0"]
+
+    def test_step_without_lift(self):
+        e0 = PointSpec("E0", (("C", 1),))
+        assert lift_violations([e0, self.STEP], [("E0", PointSpec("E0a", (("Cc", 1),)),
+                                                  PointSpec("E0b", (("Cc", 1),)))],
+                               self.BASE_OF) == ["lift of E1: none given"]
+
+    def test_lift_of_no_step(self):
+        e0 = PointSpec("E0", (("C", 1),))
+        lifts = [("E0", PointSpec("E0a"), PointSpec("E0b")), ("E1", self.A, self.B)]
+        assert lift_violations([e0], lifts, self.BASE_OF) == \
+            ["lift of E0: E0a does not lie over E0", "lift of E1: no base step E1"]
 
 
 def _flip(x):
@@ -448,7 +620,7 @@ def _perturbed(rng, point, cover_ids):
                        node_of=None if point.node_of == x else point.node_of)
     if kind == "consume" and len(touched) >= 2:
         default = point.multiplicity(touched[0]) * point.multiplicity(touched[1])
-        value = rng.choice([v for v in range(3) if v != default])
+        value = default + rng.choice([1, 2])  # a consume below the default is refused
         return replace(point, pairwise_local=(((touched[0], touched[1]), value),))
     if kind == "node" and point.node_of:
         return replace(point, node_of=None, incidences=inc + ((point.node_of, 2),))
